@@ -3,12 +3,12 @@
 //
 // Times the full receive chain through three host backends - the Q15
 // subsystem (src/fixed/) with its vector paths forced off, the same with
-// SIMD on (AVX2/NEON where the host supports it), and Reference_backend -
-// and reports the SIMD and fixed-vs-double speedups.  The scalar and SIMD
-// runs are checked bit-identical on every invocation (the contract of
-// docs/DETERMINISM.md section 7); sim parity is covered by
-// tests/test_backend_fixed.cpp, not re-run here (the simulator is orders of
-// magnitude slower).
+// SIMD on (AVX2/NEON where the host supports it), and the double-precision
+// "reference" backend - and reports the SIMD and fixed-vs-double speedups.
+// The scalar and SIMD runs are checked bit-identical on every invocation
+// (the contract of docs/DETERMINISM.md section 7); sim parity is covered
+// by tests/test_backend_fixed.cpp, not re-run here (the simulator is orders
+// of magnitude slower).
 //
 //   ./bench/bench_fixed_host                       # 1 intra-slot worker
 //   ./bench/bench_fixed_host --workers 4 --fft 4096 --symb 14

@@ -21,8 +21,8 @@ namespace {
 
 using namespace pp;
 
-bool bit_identical(const runtime::Sweep_result& a,
-                   const runtime::Sweep_result& b) {
+bool bit_identical(const runtime::Schedule_result& a,
+                   const runtime::Schedule_result& b) {
   if (a.slots.size() != b.slots.size()) return false;
   for (size_t i = 0; i < a.slots.size(); ++i) {
     const auto& x = a.slots[i];
@@ -32,11 +32,11 @@ bool bit_identical(const runtime::Sweep_result& a,
       return false;
     }
   }
-  if (a.points.size() != b.points.size()) return false;
-  for (size_t p = 0; p < a.points.size(); ++p) {
-    if (a.points[p].evm != b.points[p].evm ||
-        a.points[p].ber != b.points[p].ber ||
-        a.points[p].cycles != b.points[p].cycles) {
+  if (a.groups.size() != b.groups.size()) return false;
+  for (size_t p = 0; p < a.groups.size(); ++p) {
+    if (a.groups[p].evm != b.groups[p].evm ||
+        a.groups[p].ber != b.groups[p].ber ||
+        a.groups[p].cycles != b.groups[p].cycles) {
       return false;
     }
   }
@@ -63,7 +63,7 @@ int main(int argc, char** argv) {
   }
   grid.slots_per_point = cli.get_u32("--slots", 2);
 
-  runtime::Sweep_options opt;
+  runtime::Scheduler_options opt;
   opt.backend = cli.get("--backend", "reference");
   opt.cluster = bench::cluster_from_cli(cli, "minipool");
 
@@ -72,10 +72,11 @@ int main(int argc, char** argv) {
       workers_flag ? workers_flag
                    : std::max(1u, std::thread::hardware_concurrency());
 
+  const runtime::Grid_source source(grid);
   opt.workers = 1;
-  const auto serial = runtime::Sweep_runner(opt).run(grid);
+  const auto serial = runtime::Slot_scheduler(opt).run(source);
   opt.workers = pool;
-  const auto parallel = runtime::Sweep_runner(opt).run(grid);
+  const auto parallel = runtime::Slot_scheduler(opt).run(source);
 
   std::fputs(parallel.str().c_str(), stdout);
   std::printf("\nserial   : %6.1f slots/s (%.3f s wall)\n",
@@ -92,12 +93,15 @@ int main(int argc, char** argv) {
   rep.add_meta("backend", opt.backend);
   rep.add_meta("cluster", opt.cluster.name);
   rep.add_meta("workers", std::to_string(pool));
-  for (const auto& p : parallel.points) {
+  const auto points = grid.points();
+  for (size_t i = 0; i < points.size(); ++i) {
+    const auto& pt = points[i];
+    const auto& p = parallel.groups[i];
     auto& row = rep.add_row(
-        "fft=" + std::to_string(p.point.fft_size) +
-        " ue=" + std::to_string(p.point.n_ue) +
-        " qam=" + std::to_string(static_cast<uint32_t>(p.point.qam)) +
-        " snr=" + common::Table::fmt(p.point.snr_db, 1));
+        "fft=" + std::to_string(pt.fft_size) +
+        " ue=" + std::to_string(pt.n_ue) +
+        " qam=" + std::to_string(static_cast<uint32_t>(pt.qam)) +
+        " snr=" + common::Table::fmt(pt.snr_db, 1));
     row.cluster = opt.cluster.name;
     row.metric("evm", p.evm, "rms", true, "exact");
     row.metric("ber", p.ber, "rate", true, "exact");

@@ -86,13 +86,13 @@ int main(int argc, char** argv) {
   runtime::Traffic_config traffic;
   traffic.n_slots = cli.get_u32("--slots", 64);
   traffic.base_seed = cli.get_u32("--seed", 1);
-  traffic.n_rx = cli.get_u32("--rx", 4);
-  traffic.n_beams = cli.get_u32("--beams", 4);
+  traffic.n_rx = cli.get_count("--rx", 4);
+  traffic.n_beams = cli.get_count("--beams", 4);
   traffic.n_symb = cli.get_u32("--symb", 4);
 
   const auto mu = cli.get_u32_list("--mu", "1,0");
   const auto fft = cli.get_u32_list("--fft", "64");
-  const auto ue = cli.get_u32_list("--ue", "2");
+  const auto ue = cli.get_count_list("--ue", "2");
   const auto qam = cli.get_u32_list("--qam", "16");
   const auto snr = cli.get_double_list("--snr", "30");
   const auto load = cli.get_double_list("--load", "0.5");
@@ -101,7 +101,7 @@ int main(int argc, char** argv) {
   const auto doppler = cli.get_double_list("--doppler", "0");
   const auto delay_spread = cli.get_double_list("--delay-spread", "4");
 
-  const uint32_t n_cells = cli.get_u32("--cells", 2);
+  const uint32_t n_cells = cli.get_count("--cells", 2);
   traffic.cells.clear();
   for (uint32_t c = 0; c < n_cells; ++c) {
     runtime::Traffic_cell cell;
@@ -141,15 +141,11 @@ int main(int argc, char** argv) {
   if (!(opt.clock_ghz > 0.0)) {
     bad_range("--clock-ghz", "clock must be positive");
   }
-  opt.shards = cli.get_u32("--shards", 1);
-  if (opt.shards < 1) bad_range("--shards", "need at least one shard");
+  opt.shards = cli.get_count("--shards", 1);
   opt.placement = bench::placement_from_cli(cli);
   opt.overload = bench::overload_from_cli(cli);
   opt.queue_limit = cli.get_u32("--queue-limit", 8);
-  opt.degrade_min_ue = cli.get_u32("--min-ue", 1);
-  if (opt.degrade_min_ue < 1) {
-    bad_range("--min-ue", "the degrade floor must keep one UE layer");
-  }
+  opt.degrade_min_ue = cli.get_count("--min-ue", 1);  // degrade UE floor
   // HARQ retransmission loop: failed decodes (BER above --harq-ber) re-enter
   // the stream as retransmissions with chase combining, at most --max-harq
   // per slot.  0 keeps the pre-HARQ open-loop engine.

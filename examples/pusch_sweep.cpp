@@ -1,6 +1,7 @@
 // Scenario sweep CLI: BER/EVM-vs-SNR curves over a grid of numerologies,
 // UE counts and QAM orders, executed slot-parallel on a host thread pool
-// (runtime::Sweep_runner).
+// (runtime::Grid_source through runtime::Slot_scheduler, one table row per
+// grid point).
 //
 //   ./examples/pusch_sweep                                   # small default grid
 //   ./examples/pusch_sweep --backend reference --workers 8
@@ -8,14 +9,16 @@
 //   ./examples/pusch_sweep --backend sim --arch minipool --fft 64 --snr 20,30
 //   ./examples/pusch_sweep --backend parallel --workers 2 --intra 4
 //
-// --backend picks sim, reference, or parallel (the intra-slot parallel host
-// backend; --intra N sets its per-slot worker count, composing with the
-// slot-level --workers).  List flags take comma-separated values; --snr
-// also accepts lo:hi:step.  Per-slot seeds are Rng::derive_seed(--seed,
-// slot_index), so results are bit-identical for any --workers and --intra
-// counts (docs/DETERMINISM.md).  --list prints the registered clusters,
-// backends, pipeline presets and registry kernels instead of running;
-// unknown --arch/--backend names error with the same lists.
+// --backend picks sim, reference, parallel or fixed (--intra N sets the
+// per-slot worker count of parallel and fixed, composing with the
+// slot-level --workers; reference is parallel at one worker).  List flags
+// take comma-separated values; --snr also accepts lo:hi:step.  Counts
+// (--ue, --rx, --beams) must be >= 1.  Per-slot seeds are
+// Rng::derive_seed(--seed, slot_index), so results are bit-identical for
+// any --workers and --intra counts (docs/DETERMINISM.md).  --list prints
+// the registered clusters, backends, pipeline presets and registry kernels
+// instead of running; unknown --arch/--backend names error with the same
+// lists.
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -101,13 +104,13 @@ int main(int argc, char** argv) {
 
   runtime::Sweep_grid grid;
   grid.fft_sizes = cli.get_u32_list("--fft", "64,256");
-  grid.ue_counts = cli.get_u32_list("--ue", "2");
+  grid.ue_counts = cli.get_count_list("--ue", "2");
   grid.qam_orders =
       parse_qam_list(cli.get_u32_list("--qam", "16"), cli.get("--qam", "16"));
   grid.snr_db = parse_snr_list(cli.get("--snr", "10:30:5"));
   grid.slots_per_point = cli.get_u32("--slots", 1);
-  grid.n_rx = cli.get_u32("--rx", 4);
-  grid.n_beams = cli.get_u32("--beams", 4);
+  grid.n_rx = cli.get_count("--rx", 4);
+  grid.n_beams = cli.get_count("--beams", 4);
   grid.n_symb = cli.get_u32("--symb", 4);
   grid.base_seed = cli.get_u32("--seed", 1);
   // Channel profile shared by every grid point (flat | tdl-a | tdl-c).
@@ -115,7 +118,7 @@ int main(int argc, char** argv) {
   grid.doppler_hz = cli.get_double("--doppler", 0.0);
   grid.delay_spread = cli.get_double("--delay-spread", 4.0);
 
-  runtime::Sweep_options opt;
+  runtime::Scheduler_options opt;
   opt.backend = bench::backend_from_cli(cli);
   opt.workers = cli.get_u32("--workers", 0);
   opt.intra = cli.get_u32("--intra", 1);
@@ -125,12 +128,11 @@ int main(int argc, char** argv) {
   opt.cluster = bench::cluster_from_cli(cli, "minipool");
   opt.keep_slots = false;  // the CLI only reports the roll-up
 
-  const runtime::Sweep_runner runner(opt);
   std::printf("sweep: %llu points x %u slots on '%s' (%s cluster)\n",
               static_cast<unsigned long long>(grid.n_points()),
               grid.slots_per_point, opt.backend.c_str(),
               opt.cluster.name.c_str());
-  const auto res = runner.run(grid);
+  const auto res = runtime::Slot_scheduler(opt).run(runtime::Grid_source(grid));
   std::fputs(res.str().c_str(), stdout);
   return 0;
 }

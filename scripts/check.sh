@@ -5,7 +5,8 @@
 # intra-slot 'parallel' backend), the streaming traffic engine
 # (pusch_serve, stage-pipelined and --list), the fading channel profiles
 # and HARQ loop (TDL serve + bench_scenario_mix), the sharded serving
-# engine (placement + overload policies, CLI validation, bench_capacity), a
+# engine (placement + overload policies, CLI name and zero-count
+# validation, bench_capacity), a
 # markdown link check over README + docs/, a bench_all --quick pass
 # whose JSON reports are
 # validated and diffed against the committed baseline
@@ -15,10 +16,11 @@
 # point; exits non-zero on any failure.
 #
 # CHECK_TSAN=1 additionally builds the concurrency tests (slot scheduler,
-# sweep engine, traffic source, shared lazy tables, parallel + fixed
-# backends, the sharded-sim differential/fuzz suites, and the HARQ-loop /
-# cross-backend scenario-parity suites) under ThreadSanitizer in a
-# separate build tree and runs them.
+# grid sweeps, traffic source, shared lazy tables, parallel + fixed
+# backends and their golden-receiver oracle suite, the sharded-sim
+# differential/fuzz suites, and the HARQ-loop / cross-backend
+# scenario-parity suites) under ThreadSanitizer in a separate build tree
+# and runs them.
 #
 # CHECK_UBSAN=1 additionally builds the fixed-point arithmetic, kernel and
 # fixed-backend tests under UndefinedBehaviorSanitizer (the Q15 layer's
@@ -106,16 +108,22 @@ echo "--- smoke: sharded serving engine + capacity search ---"
     --overload queue --queue-limit 2 --clock-ghz 0.0001
 "$BUILD_DIR"/bench/bench_capacity --slots 96 --iters 8 > /dev/null
 # Unknown names for the serving flags must exit 2 with the registered list
-# (the --list convention), not abort or silently fall back.
-for bad in "--placement random" "--overload shed" "--shards 0" \
-           "--channel rician"; do
-  if "$BUILD_DIR"/examples/pusch_serve --slots 1 $bad > /dev/null 2>&1; then
-    echo "pusch_serve accepted invalid flag: $bad"
+# (the --list convention), and zero counts must exit 2 naming the valid
+# range - not abort, crash or silently run.
+for bad in "pusch_serve --placement random" "pusch_serve --overload shed" \
+           "pusch_serve --shards 0" "pusch_serve --channel rician" \
+           "pusch_serve --cells 0" "pusch_serve --ue 0" \
+           "pusch_serve --rx 0" "pusch_serve --beams 0" \
+           "pusch_sweep --backend fixed --ue 0" \
+           "pusch_sweep --backend sim --ue 0" "pusch_sweep --rx 0" \
+           "pusch_sweep --beams 0"; do
+  if "$BUILD_DIR"/examples/$bad --slots 1 > /dev/null 2>&1; then
+    echo "accepted invalid flag: $bad"
     exit 1
   else
     status=$?
     if [[ "$status" -ne 2 ]]; then
-      echo "pusch_serve exited $status (want 2) for: $bad"
+      echo "exited $status (want 2): $bad"
       exit 1
     fi
   fi
@@ -166,10 +174,11 @@ if [[ "${CHECK_TSAN:-0}" == "1" ]]; then
     --target test_sweep test_thread_safety test_rng test_backend_parallel \
              test_backend_fixed test_scheduler test_traffic test_admission \
              test_placement test_sim_differential test_sim_fuzz test_harq \
-             test_harq_fuzz test_scenario_parity test_workspace
+             test_harq_fuzz test_scenario_parity test_workspace \
+             test_host_oracle
   ctest --test-dir "$TSAN_DIR" --output-on-failure --no-tests=error \
     -j "$JOBS" \
-    -R 'Sweep|ThreadSafety|Rng|ThreadPool|ParallelBackend|FixedBackend|FixedQ15|Scheduler|Traffic|Admission|Placement|SimDifferential|SimFuzz|Harq|ScenarioParity|Workspace'
+    -R 'Sweep|ThreadSafety|Rng|ThreadPool|ParallelBackend|FixedBackend|FixedQ15|Scheduler|Traffic|Admission|Placement|SimDifferential|SimFuzz|Harq|ScenarioParity|Workspace|HostOracle'
 fi
 
 if [[ "${CHECK_UBSAN:-0}" == "1" ]]; then

@@ -88,6 +88,20 @@ class Cli {
     return out;
   }
 
+  // Counts (UEs, antennas, beams, cells): get_u32 / get_u32_list that also
+  // reject zero, naming the valid range, with the same exit-2 convention -
+  // a zero count must not reach the library layer, where it divides by
+  // zero or trips a PP_CHECK abort.
+  uint32_t get_count(const std::string& name, uint32_t fallback) const {
+    return require_count(name, get_u32(name, fallback));
+  }
+  std::vector<uint32_t> get_count_list(const std::string& name,
+                                       const std::string& fallback) const {
+    std::vector<uint32_t> out = get_u32_list(name, fallback);
+    for (const uint32_t v : out) require_count(name, v);
+    return out;
+  }
+
   // Value of "--name" as a comma-separated list of strings
   // ("flat,tdl-a,tdl-c"); empty tokens are preserved so validation stays at
   // the call site.
@@ -150,6 +164,15 @@ class Cli {
       std::exit(2);
     }
     return static_cast<uint32_t>(v);
+  }
+
+  static uint32_t require_count(const std::string& name, uint32_t v) {
+    if (v == 0) {
+      std::fprintf(stderr, "bad value '0' for %s (must be >= 1)\n",
+                   name.c_str());
+      std::exit(2);
+    }
+    return v;
   }
 
   std::vector<std::string> args_;

@@ -380,37 +380,16 @@ double golden_channel_mse(const Uplink_scenario& sc,
   return ch_err / static_cast<double>(h_hat.size());
 }
 
-std::vector<std::vector<cd>> golden_front(const Uplink_scenario& sc) {
-  common::Ws_grid<cd> beams;
-  Front_ws ws;
-  golden_front_into(sc, beams, ws);
-  std::vector<std::vector<cd>> out(beams.rows());
-  for (size_t s = 0; s < beams.rows(); ++s) {
-    const auto row = beams.row(s);
-    out[s].assign(row.begin(), row.end());
-  }
-  return out;
-}
-
-Receiver_result golden_back(const Uplink_scenario& sc,
-                            const std::vector<std::vector<cd>>& beams) {
-  const auto& cfg = sc.config();
-  common::Ws_grid<cd> grid(beams.size(),
-                           static_cast<size_t>(cfg.n_sc) * cfg.n_beams);
-  for (size_t s = 0; s < beams.size(); ++s) {
-    PP_CHECK(beams[s].size() == grid.cols(), "beam grid shape mismatch");
-    std::copy(beams[s].begin(), beams[s].end(), grid.row(s).begin());
-  }
-  Back_ws ws;
-  Receiver_result res;
-  golden_back_into(sc, grid, ws, res.bits, res.symbols, res.evm, res.ber,
-                   res.sigma2_hat);
-  res.channel_mse = golden_channel_mse(sc, ws.h_hat);
-  return res;
-}
-
 Receiver_result golden_receive(const Uplink_scenario& sc) {
-  return golden_back(sc, golden_front(sc));
+  common::Ws_grid<cd> beams;
+  Front_ws front_ws;
+  golden_front_into(sc, beams, front_ws);
+  Back_ws back_ws;
+  Receiver_result res;
+  golden_back_into(sc, beams, back_ws, res.bits, res.symbols, res.evm,
+                   res.ber, res.sigma2_hat);
+  res.channel_mse = golden_channel_mse(sc, back_ws.h_hat);
+  return res;
 }
 
 double evm_rms(const std::vector<cd>& want, const std::vector<cd>& got) {

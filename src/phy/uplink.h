@@ -211,11 +211,6 @@ void golden_back_into(const Uplink_scenario& sc,
 double golden_channel_mse(const Uplink_scenario& sc,
                           const std::vector<cd>& h_hat);
 
-// Returning conveniences wrapping the _into forms (tests / one-shot use).
-std::vector<std::vector<cd>> golden_front(const Uplink_scenario& sc);
-Receiver_result golden_back(const Uplink_scenario& sc,
-                            const std::vector<std::vector<cd>>& beams);
-
 // ---- golden-receiver tiled sub-steps --------------------------------------
 //
 // golden_receive() is built from these range-parameterized pieces: the

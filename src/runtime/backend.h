@@ -1,26 +1,30 @@
 // Pluggable execution backends for functional pipeline runs.
 //
 // A Backend takes a Pipeline description plus an uplink scenario and
-// produces a Slot_result.  Four implementations exist:
+// writes a Slot_result.  Three implementations exist:
 //
 //   Sim_backend        the cycle-approximate fixed-point kernels on the
 //                      simulated many-core cluster (pipeline.cluster());
 //                      reports per-stage cycles and instruction counts
-//   Reference_backend  the double-precision host models (baseline/): no
-//                      cycles, runs in milliseconds - the golden functional
-//                      cross-check and the fast path for scenario sweeps
-//   Parallel_backend   the same host models split across a worker pool with
-//                      the paper's per-kernel decomposition; bit-identical
-//                      to Reference_backend at any worker count
-//                      (backend_parallel.h)
+//   Parallel_backend   the double-precision host models (baseline/) split
+//                      across a worker pool with the paper's per-kernel
+//                      decomposition; bit-identical to phy::golden_receive
+//                      at any worker count (backend_parallel.h).  The
+//                      "reference" backend name is this backend at one
+//                      worker - the golden functional cross-check and the
+//                      fast path for scenario sweeps
 //   Fixed_backend      the sim backend's Q1.15 kernel math (src/fixed/) on a
 //                      host worker pool with optional SIMD; **bit-identical**
 //                      to Sim_backend - same payload bits, EVM/BER and
 //                      sigma2_hat - at host speed (backend_fixed.h)
 //
 // All emit the same Slot_result, so a single scenario can be scored on the
-// simulator and on any host path through the same Pipeline::execute()
-// call.
+// simulator and on any host path through the same Pipeline::execute_into()
+// call.  There is one way to run a slot: run_slot_into().  The host
+// backends implement only its two halves, run_front_into() and
+// run_back_into(), and inherit run_slot_into() as front + back through a
+// Slot_front the backend owns; the simulator, which models a whole slot as
+// one launch sequence, overrides run_slot_into() instead.
 #ifndef PUSCHPOOL_RUNTIME_BACKEND_H
 #define PUSCHPOOL_RUNTIME_BACKEND_H
 
@@ -32,12 +36,13 @@
 
 namespace pp::runtime {
 
-// Hand-off state between the two halves of a stage-split slot: the
-// beam-domain grid after OFDM FFT + beamforming, one row per OFDM symbol,
-// row layout [sc * beam].  Produced by Backend::run_front_into(), consumed
-// by Backend::run_back_into().  Flat workspace storage: the scheduler's
-// stage pipeline recycles Slot_fronts across slots, so the grid's
-// capacity survives and the steady state allocates nothing.
+// Hand-off state between the two halves of a slot: the beam-domain grid
+// after OFDM FFT + beamforming, one row per OFDM symbol, row layout
+// [sc * beam].  Produced by Backend::run_front_into(), consumed by
+// Backend::run_back_into().  Flat workspace storage: the backend's own
+// Slot_front and the scheduler's stage-pipeline pools are recycled across
+// slots, so the grid's capacity survives and the steady state allocates
+// nothing.
 struct Slot_front {
   common::Ws_grid<phy::cd> beams;
 };
@@ -47,40 +52,35 @@ class Backend {
   virtual ~Backend() = default;
   virtual std::string_view name() const = 0;
   virtual bool cycle_accurate() const = 0;
-  virtual Slot_result run_slot(const Pipeline& p,
-                               const phy::Uplink_scenario& sc) = 0;
 
-  // Workspace (_into) slot execution: results land in caller-owned storage
-  // whose capacity is reused across calls.  The host backends implement
-  // this as the primary path (run_slot wraps it); the default forwards to
-  // run_slot for backends whose execution is inherently allocating (the
-  // simulator builds a sim::Machine per slot).  Bit-identical to run_slot
-  // by construction.
+  // Slot execution into caller-owned storage whose capacity is reused
+  // across calls; every field of `out` is overwritten, so a recycled result
+  // matches a fresh one bit for bit.  The default runs run_front_into()
+  // into the backend's own Slot_front, then run_back_into().
   virtual void run_slot_into(const Pipeline& p, const phy::Uplink_scenario& sc,
                              Slot_result& out);
 
   // Stage-split execution, used by runtime::Slot_scheduler to overlap the
   // front half (FFT + beamforming) of slot n+1 with the back half (CHE, NE,
-  // LMMSE MIMO, demodulation) of slot n.  Contract:
-  // run_back(p, sc, run_front(p, sc)) is bit-identical to run_slot(p, sc).
-  // Backends that cannot split (the simulator models a whole slot as one
-  // launch sequence) keep the default can_split() = false and abort in the
-  // split entry points.
-  virtual bool can_split() const { return false; }
+  // LMMSE MIMO, demodulation) of slot n.  Because run_slot_into() is built
+  // from the same two calls, the split is bit-identical to the whole slot.
+  // A backend that cannot split overrides run_slot_into() and can_split();
+  // its split entry points abort.
+  virtual bool can_split() const { return true; }
   virtual void run_front_into(const Pipeline& p, const phy::Uplink_scenario& sc,
                               Slot_front& out);
   virtual void run_back_into(const Pipeline& p, const phy::Uplink_scenario& sc,
                              const Slot_front& front, Slot_result& out);
 
-  // Returning conveniences over the _into forms (tests / one-shot use).
-  Slot_front run_front(const Pipeline& p, const phy::Uplink_scenario& sc);
-  Slot_result run_back(const Pipeline& p, const phy::Uplink_scenario& sc,
-                       Slot_front front);
-
-  // High-water bytes held by this backend's slot workspaces (0 when the
-  // backend keeps none).  Observability for the growth-then-stable tests;
+  // High-water bytes held by this backend's slot workspaces, its own
+  // Slot_front included.  Observability for the growth-then-stable tests;
   // monotone under the ws_grow discipline.
-  virtual size_t workspace_bytes() const { return 0; }
+  virtual size_t workspace_bytes() const {
+    return front_.beams.footprint_bytes();
+  }
+
+ private:
+  Slot_front front_;  // run_slot_into()'s hand-off between the halves
 };
 
 class Sim_backend final : public Backend {
@@ -89,8 +89,9 @@ class Sim_backend final : public Backend {
   ~Sim_backend() override;
   std::string_view name() const override { return "sim"; }
   bool cycle_accurate() const override { return true; }
-  Slot_result run_slot(const Pipeline& p,
-                       const phy::Uplink_scenario& sc) override;
+  void run_slot_into(const Pipeline& p, const phy::Uplink_scenario& sc,
+                     Slot_result& out) override;
+  bool can_split() const override { return false; }
   size_t workspace_bytes() const override;
 
  private:
@@ -99,37 +100,18 @@ class Sim_backend final : public Backend {
   std::unique_ptr<Ws> ws_;
 };
 
-class Reference_backend final : public Backend {
- public:
-  std::string_view name() const override { return "reference"; }
-  bool cycle_accurate() const override { return false; }
-  Slot_result run_slot(const Pipeline& p,
-                       const phy::Uplink_scenario& sc) override;
-  void run_slot_into(const Pipeline& p, const phy::Uplink_scenario& sc,
-                     Slot_result& out) override;
-  bool can_split() const override { return true; }
-  void run_front_into(const Pipeline& p, const phy::Uplink_scenario& sc,
-                      Slot_front& out) override;
-  void run_back_into(const Pipeline& p, const phy::Uplink_scenario& sc,
-                     const Slot_front& front, Slot_result& out) override;
-  size_t workspace_bytes() const override;
-
- private:
-  phy::Front_ws front_ws_;
-  phy::Back_ws back_ws_;
-  common::Ws_grid<phy::cd> beams_;  // fused-path beam grid
-};
-
 // Fills `out.stages` with the per-stage launch counts the sim backend would
 // perform for this pipeline and scenario (FFT gang batching and Cholesky
-// symbol batching included).  Shared by the host backends so all three
-// backends' stage tables line up row by row.
+// symbol batching included), and clears the cycle/instruction/stall
+// counters the host backends never write.  Shared by the host backends so
+// every backend's stage table lines up row by row.
 void mirror_sim_stage_runs(const Pipeline& p, const phy::Uplink_config& cfg,
                            Slot_result& out);
 
 // "sim", "reference", "parallel" or "fixed"; aborts on anything else.
 // `intra` is the intra-slot worker count of the "parallel" and "fixed"
-// backends (0 = one worker per hardware thread) and is ignored by the rest.
+// backends (0 = one worker per hardware thread) and is ignored by the rest;
+// "reference" is a one-worker Parallel_backend that reports its own name.
 std::unique_ptr<Backend> make_backend(std::string_view name,
                                       uint32_t intra = 0);
 

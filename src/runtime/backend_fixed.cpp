@@ -41,36 +41,11 @@ bool Fixed_backend::simd_active() const {
   return simd_ && fixed::simd_available();
 }
 
-Slot_result Fixed_backend::run_slot(const Pipeline& p,
-                                    const phy::Uplink_scenario& sc) {
-  Slot_result out;
-  run_slot_into(p, sc, out);
-  return out;
-}
-
-void Fixed_backend::run_slot_into(const Pipeline& p,
-                                  const phy::Uplink_scenario& sc,
-                                  Slot_result& out) {
-  front_into(p, sc, beams_);
-  back_into(p, sc, beams_, out);
-}
-
 void Fixed_backend::run_front_into(const Pipeline& p,
                                    const phy::Uplink_scenario& sc,
                                    Slot_front& out) {
-  front_into(p, sc, out.beams);
-}
-
-void Fixed_backend::run_back_into(const Pipeline& p,
-                                  const phy::Uplink_scenario& sc,
-                                  const Slot_front& front, Slot_result& out) {
-  back_into(p, sc, front.beams, out);
-}
-
-void Fixed_backend::front_into(const Pipeline& p,
-                               const phy::Uplink_scenario& sc,
-                               common::Ws_grid<phy::cd>& beams) {
   const auto& cfg = sc.config();
+  common::Ws_grid<cd>& beams = out.beams;
   PP_CHECK(cfg.n_sc == cfg.fft_size,
            "fixed backend assumes all FFT bins are active sub-carriers");
   const uint32_t n = cfg.fft_size;
@@ -185,11 +160,11 @@ void Fixed_backend::front_into(const Pipeline& p,
   }
 }
 
-void Fixed_backend::back_into(const Pipeline& p,
-                              const phy::Uplink_scenario& sc,
-                              const common::Ws_grid<phy::cd>& beams,
-                              Slot_result& out) {
+void Fixed_backend::run_back_into(const Pipeline& p,
+                                  const phy::Uplink_scenario& sc,
+                                  const Slot_front& front, Slot_result& out) {
   const auto& cfg = sc.config();
+  const common::Ws_grid<cd>& beams = front.beams;
   const uint32_t n = cfg.fft_size;
   const uint32_t n_b = cfg.n_beams;
   const uint32_t n_l = cfg.n_ue;
@@ -338,11 +313,12 @@ void Fixed_backend::back_into(const Pipeline& p,
 }
 
 size_t Fixed_backend::workspace_bytes() const {
-  size_t b = (coop_buf_.capacity() + coop_fout_.capacity() + bq_.capacity() +
+  size_t b = Backend::workspace_bytes() +
+             (coop_buf_.capacity() + coop_fout_.capacity() + bq_.capacity() +
               h_q_.capacity() + y_est_.capacity() + h_est_.capacity() +
               gh_q_.capacity() + xs_.capacity()) *
                  sizeof(cq15) +
-             freq_.footprint_bytes() + beams_.footprint_bytes() +
+             freq_.footprint_bytes() +
              (h_hat_.capacity() + x_.capacity()) * sizeof(cd) +
              contribs_.capacity() * sizeof(uint32_t);
   for (const auto& ws : fft_ws_) b += ws.footprint_bytes();

@@ -52,14 +52,8 @@ class Fixed_backend final : public Backend {
   // host; false means every kernel runs its scalar loops.
   bool simd_active() const;
 
-  Slot_result run_slot(const Pipeline& p,
-                       const phy::Uplink_scenario& sc) override;
-  void run_slot_into(const Pipeline& p, const phy::Uplink_scenario& sc,
-                     Slot_result& out) override;
-  // Stage-split entry points (scheduler stage pipelining), cut at the beam
-  // grid like the other host backends: run_back(run_front()) is
-  // bit-identical to run_slot().
-  bool can_split() const override { return true; }
+  // The two halves of the slot, cut at the beam grid like the other host
+  // backends; Backend::run_slot_into() runs them back to back.
   void run_front_into(const Pipeline& p, const phy::Uplink_scenario& sc,
                       Slot_front& out) override;
   void run_back_into(const Pipeline& p, const phy::Uplink_scenario& sc,
@@ -67,11 +61,6 @@ class Fixed_backend final : public Backend {
   size_t workspace_bytes() const override;
 
  private:
-  void front_into(const Pipeline& p, const phy::Uplink_scenario& sc,
-                  common::Ws_grid<phy::cd>& beams);
-  void back_into(const Pipeline& p, const phy::Uplink_scenario& sc,
-                 const common::Ws_grid<phy::cd>& beams, Slot_result& out);
-
   common::Thread_pool pool_;
   bool simd_;
 
@@ -93,7 +82,6 @@ class Fixed_backend final : public Backend {
   std::vector<common::cq15> coop_buf_, coop_fout_;  // cooperative-FFT shared
   std::vector<common::cq15> bq_;             // quantized codebook
   common::Ws_grid<phy::cd> freq_;            // [symb * rx][sc] spectra
-  common::Ws_grid<phy::cd> beams_;           // fused-path beam grid
   // Back half: CHE inputs/outputs, NE operands, MIMO batch staging.
   std::vector<std::vector<common::cq15>> pilots_q_, y_sep_q_;  // grow-only
   std::vector<common::cq15> h_q_;

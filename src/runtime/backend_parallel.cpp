@@ -10,8 +10,8 @@
 // tile's arithmetic is independent of the partition, and floating-point
 // reductions are never accumulated concurrently - per-element terms are
 // stored and summed serially in slot order afterwards.  The result is
-// therefore bit-identical to Reference_backend at any worker count;
-// tests/test_backend_parallel.cpp pins that over a scenario grid.
+// therefore bit-identical to phy::golden_receive at any worker count;
+// tests/test_host_oracle.cpp pins that over a scenario grid.
 #include <cmath>
 
 #include "baseline/reference.h"
@@ -155,36 +155,11 @@ void run_mimo_stage(Thread_pool& pool, const phy::Uplink_scenario& sc,
 
 }  // namespace
 
-Slot_result Parallel_backend::run_slot(const Pipeline& p,
-                                       const phy::Uplink_scenario& sc) {
-  Slot_result out;
-  run_slot_into(p, sc, out);
-  return out;
-}
-
-void Parallel_backend::run_slot_into(const Pipeline& p,
-                                     const phy::Uplink_scenario& sc,
-                                     Slot_result& out) {
-  front_into(sc, beams_);
-  back_into(p, sc, beams_, out);
-}
-
 void Parallel_backend::run_front_into(const Pipeline&,
                                       const phy::Uplink_scenario& sc,
                                       Slot_front& out) {
-  front_into(sc, out.beams);
-}
-
-void Parallel_backend::run_back_into(const Pipeline& p,
-                                     const phy::Uplink_scenario& sc,
-                                     const Slot_front& front,
-                                     Slot_result& out) {
-  back_into(p, sc, front.beams, out);
-}
-
-void Parallel_backend::front_into(const phy::Uplink_scenario& sc,
-                                  common::Ws_grid<phy::cd>& beams) {
   const auto& cfg = sc.config();
+  common::Ws_grid<cd>& beams = out.beams;
 
   // 1) OFDM demodulation + 2) beamforming, fused per symbol (the serial
   // receiver's memory footprint: one symbol's spectra live at a time).
@@ -199,11 +174,12 @@ void Parallel_backend::front_into(const phy::Uplink_scenario& sc,
   }
 }
 
-void Parallel_backend::back_into(const Pipeline& p,
-                                 const phy::Uplink_scenario& sc,
-                                 const common::Ws_grid<phy::cd>& beams,
-                                 Slot_result& out) {
+void Parallel_backend::run_back_into(const Pipeline& p,
+                                     const phy::Uplink_scenario& sc,
+                                     const Slot_front& front,
+                                     Slot_result& out) {
   const auto& cfg = sc.config();
+  const common::Ws_grid<cd>& beams = front.beams;
 
   // 3) Channel estimation + 4) noise estimation.
   run_che_stage(pool_, sc, h_hat_);
@@ -215,7 +191,7 @@ void Parallel_backend::back_into(const Pipeline& p,
                  evm_terms_, mimo_ws_);
 
   // 6) Demodulation (parallel per UE) + the shared serial epilogue.
-  out.backend = "parallel";
+  out.backend = name_;
   out.bits.resize(cfg.n_ue);
   pool_.parallel_for(cfg.n_ue, [&](uint64_t l) {
     phy::qam_demodulate_into(cfg.qam, out.symbols[l], out.bits[l]);
@@ -227,8 +203,8 @@ void Parallel_backend::back_into(const Pipeline& p,
 }
 
 size_t Parallel_backend::workspace_bytes() const {
-  size_t b = common::ws_rows_footprint(freq_) + ft_.capacity() * sizeof(cd) +
-             beams_.footprint_bytes() + h_hat_.capacity() * sizeof(cd) +
+  size_t b = Backend::workspace_bytes() + common::ws_rows_footprint(freq_) +
+             ft_.capacity() * sizeof(cd) + h_hat_.capacity() * sizeof(cd) +
              (sig_terms_.capacity() + evm_terms_.capacity()) * sizeof(double);
   for (const auto& ws : mimo_ws_) b += ws.footprint_bytes();
   return b;

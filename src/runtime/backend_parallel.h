@@ -1,8 +1,8 @@
 // Intra-slot parallel host backend (the paper's core mapping on the host).
 //
-// Parallel_backend runs the same double-precision receive chain as
-// Reference_backend, but splits every kernel across a persistent
-// common::Thread_pool the way §IV maps it onto cores:
+// Parallel_backend runs phy::golden_receive()'s double-precision receive
+// chain, but splits every kernel across a persistent common::Thread_pool
+// the way §IV maps it onto cores:
 //
 //   OFDM FFT     per-symbol fan-out over the antenna transforms; when there
 //                are fewer antennas than workers, each FFT is instead
@@ -17,11 +17,14 @@
 //                statically sliced across workers (ref::lmmse)
 //
 // Determinism contract (pinned by tests/test_backend_parallel.cpp and
-// documented in docs/DETERMINISM.md): the result is bit-identical to
-// Reference_backend for any worker count.  Workers own statically-sliced
-// disjoint output tiles whose arithmetic matches the serial loop exactly,
-// and every floating-point reduction (EVM, noise estimate) is accumulated
-// serially in slot order after the parallel region.
+// tests/test_host_oracle.cpp, documented in docs/DETERMINISM.md): the
+// result is bit-identical to phy::golden_receive for any worker count.
+// Workers own statically-sliced disjoint output tiles whose arithmetic
+// matches the serial loop exactly, and every floating-point reduction (EVM,
+// noise estimate) is accumulated serially in slot order after the parallel
+// region.  At one worker the pool runs every region inline, which is the
+// serial receiver itself: make_backend("reference") is this backend at one
+// worker under the name "reference".
 #ifndef PUSCHPOOL_RUNTIME_BACKEND_PARALLEL_H
 #define PUSCHPOOL_RUNTIME_BACKEND_PARALLEL_H
 
@@ -32,23 +35,17 @@ namespace pp::runtime {
 
 class Parallel_backend final : public Backend {
  public:
-  // 0 = one worker per hardware thread.  The pool persists across
-  // run_slot() calls, so per-slot dispatch cost stays at one wake-up.
-  explicit Parallel_backend(uint32_t workers = 0)
-      : pool_(workers), mimo_ws_(pool_.workers()) {}
+  // 0 = one worker per hardware thread.  The pool persists across slots,
+  // so per-slot dispatch cost stays at one wake-up.  `name` is what name()
+  // and Slot_result::backend report (a string literal).
+  explicit Parallel_backend(uint32_t workers = 0,
+                            std::string_view name = "parallel")
+      : name_(name), pool_(workers), mimo_ws_(pool_.workers()) {}
 
-  std::string_view name() const override { return "parallel"; }
+  std::string_view name() const override { return name_; }
   bool cycle_accurate() const override { return false; }
   uint32_t workers() const { return pool_.workers(); }
 
-  Slot_result run_slot(const Pipeline& p,
-                       const phy::Uplink_scenario& sc) override;
-  void run_slot_into(const Pipeline& p, const phy::Uplink_scenario& sc,
-                     Slot_result& out) override;
-  // Stage-split entry points (scheduler stage pipelining): the same code
-  // paths as run_slot(), cut at the beam-grid boundary, so
-  // run_back(run_front()) stays bit-identical to run_slot().
-  bool can_split() const override { return true; }
   void run_front_into(const Pipeline& p, const phy::Uplink_scenario& sc,
                       Slot_front& out) override;
   void run_back_into(const Pipeline& p, const phy::Uplink_scenario& sc,
@@ -56,11 +53,7 @@ class Parallel_backend final : public Backend {
   size_t workspace_bytes() const override;
 
  private:
-  void front_into(const phy::Uplink_scenario& sc,
-                  common::Ws_grid<phy::cd>& beams);
-  void back_into(const Pipeline& p, const phy::Uplink_scenario& sc,
-                 const common::Ws_grid<phy::cd>& beams, Slot_result& out);
-
+  std::string_view name_;
   common::Thread_pool pool_;
 
   // Slot workspaces (grow-then-stabilize; every buffer fully overwritten
@@ -70,7 +63,6 @@ class Parallel_backend final : public Backend {
   // tiles but each needs private solver scratch).
   std::vector<std::vector<phy::cd>> freq_;  // grow-only outer
   std::vector<phy::cd> ft_;
-  common::Ws_grid<phy::cd> beams_;  // fused-path beam grid
   std::vector<phy::cd> h_hat_;
   std::vector<double> sig_terms_;
   std::vector<double> evm_terms_;

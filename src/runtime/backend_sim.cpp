@@ -66,8 +66,9 @@ Sim_backend::~Sim_backend() = default;
 
 size_t Sim_backend::workspace_bytes() const { return ws_->footprint_bytes(); }
 
-Slot_result Sim_backend::run_slot(const Pipeline& p,
-                                  const phy::Uplink_scenario& sc) {
+void Sim_backend::run_slot_into(const Pipeline& p,
+                                const phy::Uplink_scenario& sc,
+                                Slot_result& out) {
   const auto& cfg = sc.config();
   const auto& cluster = p.cluster();
   PP_CHECK(cfg.n_sc == cfg.fft_size,
@@ -108,11 +109,17 @@ Slot_result Sim_backend::run_slot(const Pipeline& p,
   sim::Machine m(cluster);
   arch::L1_alloc alloc(m.config());
 
-  Slot_result out;
+  // `out` may be a recycled result: every field below is overwritten and
+  // the stage counters restart from zero.
   out.backend = "sim";
   out.stages.resize(p.stages().size());
   for (size_t i = 0; i < p.stages().size(); ++i) {
-    out.stages[i].name = p.stages()[i].name;
+    auto& st = out.stages[i];
+    st.name = p.stages()[i].name;
+    st.cycles = 0;
+    st.instrs = 0;
+    st.stall.fill(0);
+    st.runs = 0;
   }
   auto stage_of = [&](const Stage_spec& spec) -> Slot_result::Stage& {
     return out.stages[&spec - p.stages().data()];
@@ -226,7 +233,9 @@ Slot_result Sim_backend::run_slot(const Pipeline& p,
   gram->bind("h", 0, ws_->q);
   gram->bind_scalar("sigma2", sigma2_hat);
   out.bits.resize(cfg.n_ue);
-  std::vector<std::vector<cd>> eq(cfg.n_ue);  // equalized symbols
+  auto& eq = out.symbols;  // equalized symbols
+  eq.resize(cfg.n_ue);
+  for (auto& e : eq) e.clear();
   double evm_acc = 0.0;
   uint64_t evm_cnt = 0;
 
@@ -294,7 +303,7 @@ Slot_result Sim_backend::run_slot(const Pipeline& p,
 
   uint64_t nerr = 0, nbits = 0;
   for (uint32_t l = 0; l < cfg.n_ue; ++l) {
-    out.bits[l] = phy::qam_demodulate(cfg.qam, eq[l]);
+    phy::qam_demodulate_into(cfg.qam, eq[l], out.bits[l]);
     const auto& want = sc.tx_bits(l);
     PP_CHECK(want.size() == out.bits[l].size(), "payload size mismatch");
     for (size_t i = 0; i < want.size(); ++i) {
@@ -303,8 +312,6 @@ Slot_result Sim_backend::run_slot(const Pipeline& p,
     }
   }
   out.ber = static_cast<double>(nerr) / static_cast<double>(nbits);
-  out.symbols = std::move(eq);
-  return out;
 }
 
 }  // namespace pp::runtime

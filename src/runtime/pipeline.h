@@ -9,12 +9,12 @@
 //               simulated cluster and scale by its repetition count (the
 //               paper's Fig. 9c methodology; replaces the old
 //               pusch::run_use_case internals)
-//   execute()   functional slot execution: stream an uplink scenario through
-//               the stages on a pluggable Backend (backend.h) - the
-//               cycle-approximate simulator ("sim") or the double-precision
-//               host models, serial ("reference") or intra-slot parallel
-//               ("parallel") - and score EVM/BER against the transmitted
-//               data
+//   execute_into()  functional slot execution: stream an uplink scenario
+//               through the stages on a pluggable Backend (backend.h) - the
+//               cycle-approximate simulator ("sim"), the double-precision
+//               host models ("parallel", or "reference" at one worker) or
+//               their Q15 twin ("fixed") - and score EVM/BER against the
+//               transmitted data
 //
 // Presets for the paper's use case and the end-to-end uplink slot live in
 // presets.h.
@@ -181,14 +181,14 @@ class Pipeline {
   Rollup_result measure(uint64_t seed = 2023) const;
   Rollup_result measure(const Measure_options& opt) const;
 
-  // Functional slot execution on the given backend.
-  Slot_result execute(const phy::Uplink_scenario& sc, Backend& backend) const;
-
-  // execute() into caller-owned result storage (capacity reused across
-  // slots); forwards to Backend::run_slot_into.  Bit-identical to
-  // execute() - the serving loop's zero-allocation entry point.
+  // Functional slot execution on the given backend, into caller-owned
+  // result storage (capacity reused across slots): forwards to
+  // Backend::run_slot_into - the serving loop's zero-allocation entry point.
   void execute_into(const phy::Uplink_scenario& sc, Backend& backend,
                     Slot_result& out) const;
+
+  // One-shot convenience: execute_into() a fresh result.
+  Slot_result execute(const phy::Uplink_scenario& sc, Backend& backend) const;
 
  private:
   std::string name_;

@@ -1,9 +1,8 @@
 // Streaming slot scheduler: deadline-aware execution of slot jobs from
 // pluggable sources.
 //
-// This is the execution core that used to live inside Sweep_runner,
-// generalized from "walk a fixed cartesian grid" to "pull slot jobs from a
-// Slot_source":
+// The one engine for batch sweeps and streaming serving alike: it pulls
+// slot jobs from a Slot_source and runs them on per-worker backends.
 //
 //   Slot_source       pure-function job stream: job(i) depends only on the
 //                     source's configuration and the index i, and arrival
@@ -12,8 +11,8 @@
 //                     (traffic.h) generates stochastic multi-cell uplink
 //                     traffic with Poisson arrivals.
 //   Slot_scheduler    a worker pool pulling job indices from an atomic
-//                     cursor, one private Backend per worker (exactly the
-//                     old sweep engine); optionally stage-pipelined: each
+//                     cursor, one private Backend per worker;
+//                     optionally stage-pipelined: each
 //                     worker becomes a front thread (OFDM FFT + beamforming
 //                     of slot n+1) and a back thread (CHE/NE/LMMSE MIMO of
 //                     slot n) connected by a double buffer, composing with
@@ -84,7 +83,10 @@ class Slot_source {
 struct Scheduler_options {
   uint32_t workers = 0;  // slot-level workers; 0 = hardware_concurrency
   std::string backend = "reference";  // make_backend() name
-  uint32_t intra = 1;    // intra-slot workers ("parallel" backend only)
+  // Intra-slot workers per backend instance ("parallel" and "fixed";
+  // 0 = hardware_concurrency).  Total threads ~= workers * intra, so keep
+  // workers * intra <= host cores when composing both levels.
+  uint32_t intra = 1;
   // Stage-pipelined execution: overlap the front half of slot n+1 with the
   // back half of slot n (2 threads per worker, double-buffered hand-off).
   // Silently ignored when the backend cannot split (Backend::can_split());

@@ -283,9 +283,9 @@ TEST(BackendCrossCheck, SimAndReferenceDecodeTheSamePayloads) {
       runtime::uplink_pipeline(arch::Cluster_config::minipool());
 
   runtime::Sim_backend sim_b;
-  runtime::Reference_backend ref_b;
+  const auto ref_b = runtime::make_backend("reference");
   const auto on_sim = pipeline.execute(sc, sim_b);
-  const auto on_ref = pipeline.execute(sc, ref_b);
+  const auto on_ref = pipeline.execute(sc, *ref_b);
 
   EXPECT_EQ(on_sim.backend, "sim");
   EXPECT_EQ(on_ref.backend, "reference");

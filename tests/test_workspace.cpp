@@ -10,8 +10,9 @@
 //   - quantize_into/dequantize_into bit-identity with the returning forms
 //   - workspace_bytes() growth-then-stable across repeated slot runs and
 //     shape changes, on all four backends
-//   - _into-path and recycled-Slot_front results bit-identical to fresh
-//     runs (reuse cannot change values)
+//   - recycled-Slot_result and recycled-Slot_front results bit-identical
+//     to fresh runs on every backend, stage counters included (reuse
+//     cannot change values)
 //   - per-worker workspace checkout under the thread pool and the
 //     scheduler's summary mode (keep_slots=false reuses one Slot_result
 //     per worker instead of retaining every slot)
@@ -212,6 +213,15 @@ void expect_results_equal(const runtime::Slot_result& a,
   EXPECT_EQ(a.evm, b.evm) << what;
   EXPECT_EQ(a.ber, b.ber) << what;
   EXPECT_EQ(a.sigma2_hat, b.sigma2_hat) << what;
+  EXPECT_EQ(a.backend, b.backend) << what;
+  ASSERT_EQ(a.stages.size(), b.stages.size()) << what;
+  for (size_t s = 0; s < a.stages.size(); ++s) {
+    EXPECT_EQ(a.stages[s].name, b.stages[s].name) << what;
+    EXPECT_EQ(a.stages[s].cycles, b.stages[s].cycles) << what;
+    EXPECT_EQ(a.stages[s].instrs, b.stages[s].instrs) << what;
+    EXPECT_EQ(a.stages[s].stall, b.stages[s].stall) << what;
+    EXPECT_EQ(a.stages[s].runs, b.stages[s].runs) << what;
+  }
 }
 
 TEST(WorkspaceBackend, GrowthThenStableAcrossSlotRuns) {
@@ -245,16 +255,18 @@ TEST(WorkspaceBackend, GrowthThenStableAcrossSlotRuns) {
 
 TEST(WorkspaceBackend, ReusedWorkspaceResultsBitIdenticalToFreshBackend) {
   // The non-interference rule, observed from outside: a backend that has
-  // executed other shapes produces exactly the bits a fresh backend does.
+  // executed other shapes, writing into a recycled Slot_result, produces
+  // exactly what a fresh backend writes into a fresh result.  The sim
+  // backend accumulates stage counters, so it must restart them from zero.
   const phy::Uplink_scenario small(small_cfg());
   const phy::Uplink_scenario big(big_cfg());
   const auto pipeline =
       runtime::uplink_pipeline(arch::Cluster_config::minipool());
   for (const char* name : {"reference", "parallel", "fixed", "sim"}) {
-    runtime::Slot_result fresh_small =
-        runtime::make_backend(name, 2)->run_slot(pipeline, small);
-    runtime::Slot_result fresh_big =
-        runtime::make_backend(name, 2)->run_slot(pipeline, big);
+    const runtime::Slot_result fresh_small =
+        pipeline.execute(small, *runtime::make_backend(name, 2));
+    const runtime::Slot_result fresh_big =
+        pipeline.execute(big, *runtime::make_backend(name, 2));
     const auto reused = runtime::make_backend(name, 2);
     runtime::Slot_result res;
     reused->run_slot_into(pipeline, big, res);
@@ -270,7 +282,7 @@ TEST(WorkspaceBackend, RecycledSlotFrontBitIdenticalToWholeSlot) {
   // The scheduler's stage pipeline recycles Slot_fronts across slots; a
   // recycled front (stale beam grid from another shape) must carry exactly
   // the same values as a fresh one, and the split halves must reproduce
-  // run_slot bit for bit.
+  // run_slot_into bit for bit.
   const phy::Uplink_scenario small(small_cfg());
   const phy::Uplink_scenario big(big_cfg());
   const auto pipeline =
