@@ -7,6 +7,8 @@
 #ifndef PUSCHPOOL_BENCH_BENCH_UTIL_H
 #define PUSCHPOOL_BENCH_BENCH_UTIL_H
 
+#include <bit>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -17,8 +19,11 @@
 #include "common/alloc_count.h"
 #include "common/cli.h"
 #include "common/complex16.h"
+#include "common/q15_chain.h"
 #include "common/rng.h"
 #include "common/table.h"
+#include "kernels/cholesky.h"
+#include "kernels/fft_plan.h"
 #include "phy/channel.h"
 #include "runtime/admission.h"
 #include "runtime/backend.h"
@@ -171,6 +176,53 @@ inline phy::Channel_profile channel_by_name(const std::string& name) {
 inline phy::Channel_profile channel_from_cli(const common::Cli& cli,
                                              const char* fallback = "flat") {
   return channel_by_name(cli.get("--channel", fallback));
+}
+
+// The slot configurations a backend can run, checked at the CLI boundary: a
+// value outside them prints the valid domain and exits 2 instead of reaching
+// a kernel's PP_CHECK.  Every backend needs a power-of-two FFT of at least
+// Fft_geom::min_size points (one core's share of the FFT gang mapping) and
+// an SNR whose noise power 10^(-snr/10) is a finite double.  "sim" and
+// "fixed" run the radix-4 kernels (Fft_geom::valid_size) and cap the UE
+// count at their MIMO kernels' limits: Trisolve_batch::max_n on the
+// simulator, common::max_layers on the host.
+inline void check_slot_domain(const std::string& backend,
+                              const std::vector<uint32_t>& fft_sizes,
+                              const std::vector<uint32_t>& ue_counts,
+                              const std::vector<double>& snr_db) {
+  const bool q15 = backend == "sim" || backend == "fixed";
+  constexpr uint32_t min_fft = kernels::Fft_geom::min_size;
+  for (const uint32_t n : fft_sizes) {
+    const bool ok = q15 ? kernels::Fft_geom::valid_size(n)
+                        : std::has_single_bit(n) && n >= min_fft;
+    if (!ok) {
+      std::fprintf(stderr,
+                   "bad FFT size %u for --fft on the '%s' backend (a power "
+                   "of %u, >= %u)\n",
+                   n, backend.c_str(), q15 ? 4u : 2u, min_fft);
+      std::exit(2);
+    }
+  }
+  const uint32_t max_ue = backend == "sim"     ? kernels::Trisolve_batch::max_n
+                          : backend == "fixed" ? common::max_layers
+                                               : UINT32_MAX;
+  for (const uint32_t ue : ue_counts) {
+    if (ue > max_ue) {
+      std::fprintf(stderr,
+                   "bad UE count %u for --ue on the '%s' backend (1..%u)\n",
+                   ue, backend.c_str(), max_ue);
+      std::exit(2);
+    }
+  }
+  for (const double snr : snr_db) {
+    if (!std::isfinite(snr) || !std::isfinite(std::pow(10.0, -snr / 10.0))) {
+      std::fprintf(stderr,
+                   "bad SNR %g for --snr (a finite dB value whose noise "
+                   "power 10^(-snr/10) is finite)\n",
+                   snr);
+      std::exit(2);
+    }
+  }
 }
 
 // `--list` support: everything reachable by name through the runtime

@@ -19,7 +19,9 @@
 //
 // Cell i draws its parameters from position i (mod length) of the --mu,
 // --fft, --ue, --qam, --snr, --load, --channel, --doppler and
-// --delay-spread lists.  --channel picks each cell's fading profile
+// --delay-spread lists; --fft, --ue and --snr values outside the backend's
+// slot domain (bench::check_slot_domain) exit 2 naming the valid range.
+// --channel picks each cell's fading profile
 // (phy/channel.h: flat | tdl-a | tdl-c); --max-harq N closes the HARQ
 // loop - slots decoding above --harq-ber re-enter the stream as chase-
 // combined retransmissions, at most N per slot, admitted against the same
@@ -127,6 +129,7 @@ int main(int argc, char** argv) {
 
   runtime::Scheduler_options opt;
   opt.backend = bench::backend_from_cli(cli);
+  bench::check_slot_domain(opt.backend, fft, ue, snr);
   opt.workers = cli.get_u32("--workers", 0);
   opt.intra = cli.get_u32("--intra", 1);
   // --sim-shards N: run N concurrent simulated machines (sim backend only;

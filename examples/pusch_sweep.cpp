@@ -13,12 +13,15 @@
 // per-slot worker count of parallel and fixed, composing with the
 // slot-level --workers; reference is parallel at one worker).  List flags
 // take comma-separated values; --snr also accepts lo:hi:step.  Counts
-// (--ue, --rx, --beams) must be >= 1.  Per-slot seeds are
+// (--ue, --rx, --beams) must be >= 1, and --fft, --ue and --snr must lie in
+// the backend's slot domain (bench::check_slot_domain); anything else exits
+// 2 naming the valid range.  Per-slot seeds are
 // Rng::derive_seed(--seed, slot_index), so results are bit-identical for
 // any --workers and --intra counts (docs/DETERMINISM.md).  --list prints
 // the registered clusters, backends, pipeline presets and registry kernels
 // instead of running; unknown --arch/--backend names error with the same
 // lists.
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -59,6 +62,11 @@ double parse_double(const char* flag, const std::string& tok) {
   char* end = nullptr;
   const double v = std::strtod(tok.c_str(), &end);
   if (tok.empty() || end != tok.c_str() + tok.size()) bad_token(flag, tok);
+  if (!std::isfinite(v)) {  // also keeps a lo:hi:step range finite
+    std::fprintf(stderr, "bad value '%s' for %s (a finite number)\n",
+                 tok.c_str(), flag);
+    std::exit(2);
+  }
   return v;
 }
 
@@ -120,6 +128,8 @@ int main(int argc, char** argv) {
 
   runtime::Scheduler_options opt;
   opt.backend = bench::backend_from_cli(cli);
+  bench::check_slot_domain(opt.backend, grid.fft_sizes, grid.ue_counts,
+                           grid.snr_db);
   opt.workers = cli.get_u32("--workers", 0);
   opt.intra = cli.get_u32("--intra", 1);
   // --sim-shards N: run N concurrent simulated machines (sim backend only;

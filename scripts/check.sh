@@ -5,8 +5,8 @@
 # intra-slot 'parallel' backend), the streaming traffic engine
 # (pusch_serve, stage-pipelined and --list), the fading channel profiles
 # and HARQ loop (TDL serve + bench_scenario_mix), the sharded serving
-# engine (placement + overload policies, CLI name and zero-count
-# validation, bench_capacity), a
+# engine (placement + overload policies, CLI name, zero-count and
+# backend slot-domain validation, bench_capacity), a
 # markdown link check over README + docs/, a bench_all --quick pass
 # whose JSON reports are
 # validated and diffed against the committed baseline
@@ -22,9 +22,10 @@
 # scenario-parity suites) under ThreadSanitizer in a separate build tree
 # and runs them.
 #
-# CHECK_UBSAN=1 additionally builds the fixed-point arithmetic, kernel and
-# fixed-backend tests under UndefinedBehaviorSanitizer (the Q15 layer's
-# saturation corners are exactly where signed-overflow UB would hide).
+# CHECK_UBSAN=1 additionally builds the fixed-point arithmetic, kernel,
+# sim-vs-host Q15 value-chain corner (test_q15_chain) and fixed-backend
+# tests under UndefinedBehaviorSanitizer (the Q15 layer's saturation
+# corners are exactly where signed-overflow UB would hide).
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -108,15 +109,28 @@ echo "--- smoke: sharded serving engine + capacity search ---"
     --overload queue --queue-limit 2 --clock-ghz 0.0001
 "$BUILD_DIR"/bench/bench_capacity --slots 96 --iters 8 > /dev/null
 # Unknown names for the serving flags must exit 2 with the registered list
-# (the --list convention), and zero counts must exit 2 naming the valid
-# range - not abort, crash or silently run.
+# (the --list convention), and zero counts and values outside the backend's
+# slot domain (FFT size, UE count, SNR) must exit 2 naming the valid range -
+# not abort, crash or silently run.
 for bad in "pusch_serve --placement random" "pusch_serve --overload shed" \
            "pusch_serve --shards 0" "pusch_serve --channel rician" \
            "pusch_serve --cells 0" "pusch_serve --ue 0" \
            "pusch_serve --rx 0" "pusch_serve --beams 0" \
            "pusch_sweep --backend fixed --ue 0" \
            "pusch_sweep --backend sim --ue 0" "pusch_sweep --rx 0" \
-           "pusch_sweep --beams 0"; do
+           "pusch_sweep --beams 0" \
+           "pusch_serve --fft 1000" "pusch_serve --fft 0" \
+           "pusch_serve --fft 48" "pusch_serve --backend fixed --fft 32" \
+           "pusch_serve --backend sim --fft 32" \
+           "pusch_serve --backend fixed --ue 9 --rx 4" \
+           "pusch_serve --backend sim --ue 5 --rx 4 --beams 4" \
+           "pusch_serve --snr nan" \
+           "pusch_sweep --fft 1000" "pusch_sweep --fft 0" \
+           "pusch_sweep --fft 48" "pusch_sweep --backend fixed --fft 32" \
+           "pusch_sweep --backend sim --fft 32" \
+           "pusch_sweep --backend fixed --ue 9 --rx 4" \
+           "pusch_sweep --backend sim --ue 5 --rx 4 --beams 4" \
+           "pusch_sweep --snr nan"; do
   if "$BUILD_DIR"/examples/$bad --slots 1 > /dev/null 2>&1; then
     echo "accepted invalid flag: $bad"
     exit 1
@@ -189,10 +203,10 @@ if [[ "${CHECK_UBSAN:-0}" == "1" ]]; then
     -DCMAKE_CXX_FLAGS="-fsanitize=undefined -fno-sanitize-recover=all -fno-omit-frame-pointer"
   cmake --build "$UBSAN_DIR" -j "$JOBS" \
     --target test_fixed_point test_fft test_mmm test_cholesky test_che_ne \
-             test_gram test_backend_fixed
+             test_gram test_q15_chain test_backend_fixed
   ctest --test-dir "$UBSAN_DIR" --output-on-failure --no-tests=error \
     -j "$JOBS" \
-    -R 'Q15|Cq15|Isqrt|Rng|Fft|Mmm|Chol|Trisolve|Che|Ne|Gram|FixedBackend'
+    -R 'Q15|Cq15|Isqrt|Rng|Fft|Mmm|Chol|Trisolve|Che|Ne|Gram|Q15Chain|FixedBackend'
 fi
 
 echo "check.sh: all green"

@@ -6,23 +6,13 @@
 #include <mutex>
 
 #include "common/check.h"
-#include "common/fixed_point.h"
+#include "common/q15_chain.h"
 #include "fixed/simd.h"
 
 namespace pp::fixed {
 
 using common::cacc;
-using common::cadd;
 using common::cconj;
-using common::cmag2_raw;
-using common::cmul;
-using common::cmul_mj;
-using common::cquarter;
-using common::csub;
-using common::div_q15;
-using common::q15_frac_bits;
-using common::sat16;
-using common::sqrt_q15;
 
 // ---- FFT ------------------------------------------------------------------
 
@@ -52,26 +42,18 @@ const Fft_plan& fft_plan(uint32_t n) {
 
 namespace {
 
-// The radix-4 DIF butterfly of src/kernels/fft.cpp (functional lines only).
+// One butterfly of stage k: gather, shared value chain, scatter.
 inline void butterfly_scalar(const Fft_plan& plan, uint32_t k, cq15* buf,
                              cq15* out, uint32_t g, bool last) {
   const kernels::Fft_geom& geom = plan.geom;
   const uint32_t d = geom.d(k);
   const uint32_t base = geom.base(k, g);
-  cq15 x[4];
-  for (uint32_t j = 0; j < 4; ++j) x[j] = cquarter(buf[base + j * d]);
-  const cq15 a = cadd(x[0], x[2]);
-  const cq15 cc = csub(x[0], x[2]);
-  const cq15 b = cadd(x[1], x[3]);
-  const cq15 dd = csub(x[1], x[3]);
-  const cq15 dj = cmul_mj(dd);
   cq15 v[4];
-  v[0] = cadd(a, b);
-  v[1] = cadd(cc, dj);
-  v[2] = csub(a, b);
-  v[3] = csub(cc, dj);
+  for (uint32_t j = 0; j < 4; ++j) v[j] = buf[base + j * d];
+  common::radix4_dif(v);
   if (!last) {
-    for (uint32_t m = 1; m < 4; ++m) v[m] = cmul(v[m], plan.tw[k][m - 1][g]);
+    const cq15 w[3] = {plan.tw[k][0][g], plan.tw[k][1][g], plan.tw[k][2][g]};
+    common::radix4_twiddle(v, w);
   }
   for (uint32_t m = 0; m < 4; ++m) {
     const uint32_t i_out = base + m * d;
@@ -159,8 +141,7 @@ void che_subcarriers(const std::vector<std::vector<cq15>>& y_sep,
         uint32_t done = 0;
         if (simd) done = cmul_double_prefix(y + b0, xc, row, blk);
         for (uint32_t b = done; b < blk; ++b) {
-          const cq15 hv = cmul(y[b0 + b], xc);
-          row[b] = cadd(hv, hv);  // doubling folds the pilot |x|^2 = 1/2
+          row[b] = common::che_elem(y[b0 + b], xc);
         }
         for (uint32_t b = 0; b < blk; ++b) {
           h[(static_cast<size_t>(sc) * n_b + b0 + b) * n_l + l] = row[b];
@@ -171,12 +152,6 @@ void che_subcarriers(const std::vector<std::vector<cq15>>& y_sep,
 }
 
 // ---- NE -------------------------------------------------------------------
-
-Sc_block sc_block(uint32_t n_sc, uint32_t n_cores, uint32_t idx) {
-  const uint32_t chunk = (n_sc + n_cores - 1) / n_cores;
-  const uint32_t lo = std::min(idx * chunk, n_sc);
-  return {lo, std::min(lo + chunk, n_sc)};
-}
 
 int64_t ne_partial(const cq15* y, const cq15* h,
                    const std::vector<std::vector<cq15>>& pilots, uint32_t n_b,
@@ -195,9 +170,8 @@ int64_t ne_partial(const cq15* y, const cq15* h,
         im += static_cast<int64_t>(hv.re) * xv.im +
               static_cast<int64_t>(hv.im) * xv.re;
       }
-      const cq15 diff =
-          csub(y[static_cast<size_t>(sc) * n_b + b], cacc{re, im}.round());
-      partial += cmag2_raw(diff);
+      partial += common::ne_residual(y[static_cast<size_t>(sc) * n_b + b],
+                                     cacc{re, im});
     }
   }
   return partial;
@@ -208,7 +182,8 @@ int64_t ne_partial(const cq15* y, const cq15* h,
 void gram_subcarriers(const cq15* h, const cq15* y, cq15 sigma, cq15* g,
                       cq15* rhs, uint32_t n_b, uint32_t n_l,
                       uint32_t sc_begin, uint32_t sc_end) {
-  PP_CHECK(n_l <= 8, "gram kernel keeps one H column in registers (n_l <= 8)");
+  PP_CHECK(n_l <= common::max_layers,
+           "gram kernel keeps one H row in registers (n_l <= max_layers)");
   for (uint32_t sc = sc_begin; sc < sc_end; ++sc) {
     const cq15* hsc = h + static_cast<size_t>(sc) * n_b * n_l;
     const cq15* ysc = y + static_cast<size_t>(sc) * n_b;
@@ -228,11 +203,11 @@ void gram_subcarriers(const cq15* h, const cq15* y, cq15 sigma, cq15* g,
           im += static_cast<int64_t>(hj.im) * hi.re -
                 static_cast<int64_t>(hj.re) * hi.im;
         }
-        cq15 v = cacc{re, im}.round();
-        if (i == j) v = cadd(v, sigma);
+        const cq15 v = common::gram_entry(cacc{re, im}, i == j, sigma);
         g[(static_cast<size_t>(sc) * n_l + i) * n_l + j] = v;
         if (i != j) {
-          g[(static_cast<size_t>(sc) * n_l + j) * n_l + i] = cconj(v);
+          g[(static_cast<size_t>(sc) * n_l + j) * n_l + i] =
+              common::gram_mirror(v);
         }
       }
       int64_t re = 0, im = 0;
@@ -255,14 +230,11 @@ void gram_subcarriers(const cq15* h, const cq15* y, cq15 sigma, cq15* g,
 namespace {
 
 inline void chol_diag(const cq15* g, cq15* l, uint32_t n, uint32_t j) {
-  int64_t acc = static_cast<int64_t>(g[static_cast<size_t>(j) * n + j].re)
-                << q15_frac_bits;
+  int64_t acc = common::chol_diag_init(g[static_cast<size_t>(j) * n + j]);
   for (uint32_t k = 0; k < j; ++k) {
-    acc -= cmag2_raw(l[static_cast<size_t>(j) * n + k]);
+    acc = common::chol_diag_sub(acc, l[static_cast<size_t>(j) * n + k]);
   }
-  const int16_t r =
-      sqrt_q15(sat16((acc + (1 << (q15_frac_bits - 1))) >> q15_frac_bits));
-  l[static_cast<size_t>(j) * n + j] = cq15{r, 0};
+  l[static_cast<size_t>(j) * n + j] = common::chol_diag_finish(acc);
 }
 
 inline void chol_offdiag(const cq15* g, cq15* l, uint32_t n, uint32_t i,
@@ -273,10 +245,8 @@ inline void chol_offdiag(const cq15* g, cq15* l, uint32_t n, uint32_t i,
     acc.msu_conj(l[static_cast<size_t>(i) * n + k],
                  l[static_cast<size_t>(j) * n + k]);
   }
-  const int16_t diag = l[static_cast<size_t>(j) * n + j].re;
-  const cq15 num = acc.round();
   l[static_cast<size_t>(i) * n + j] =
-      cq15{div_q15(num.re, diag), div_q15(num.im, diag)};
+      common::div_by_pivot(acc, l[static_cast<size_t>(j) * n + j].re);
 }
 
 }  // namespace
@@ -291,8 +261,9 @@ void cholesky(const cq15* g, cq15* l, uint32_t n) {
 }
 
 void trisolve(const cq15* l, const cq15* y, cq15* x, uint32_t n) {
-  PP_CHECK(n <= 8, "trisolve keeps the solution vector in registers (n <= 8)");
-  cq15 z[8];
+  PP_CHECK(n <= common::max_layers,
+           "trisolve keeps the solution vector in registers (n <= max_layers)");
+  cq15 z[common::max_layers];
   // Forward substitution: L z = y.
   for (uint32_t i = 0; i < n; ++i) {
     cacc acc;
@@ -300,9 +271,7 @@ void trisolve(const cq15* l, const cq15* y, cq15* x, uint32_t n) {
     for (uint32_t k = 0; k < i; ++k) {
       acc.msu(l[static_cast<size_t>(i) * n + k], z[k]);
     }
-    const int16_t diag = l[static_cast<size_t>(i) * n + i].re;
-    const cq15 num = acc.round();
-    z[i] = cq15{div_q15(num.re, diag), div_q15(num.im, diag)};
+    z[i] = common::div_by_pivot(acc, l[static_cast<size_t>(i) * n + i].re);
   }
   // Backward substitution: L^H x = z.
   for (uint32_t ii = n; ii-- > 0;) {
@@ -311,9 +280,7 @@ void trisolve(const cq15* l, const cq15* y, cq15* x, uint32_t n) {
     for (uint32_t k = ii + 1; k < n; ++k) {
       acc.msu_conj(x[k], l[static_cast<size_t>(k) * n + ii]);
     }
-    const int16_t diag = l[static_cast<size_t>(ii) * n + ii].re;
-    const cq15 num = acc.round();
-    x[ii] = cq15{div_q15(num.re, diag), div_q15(num.im, diag)};
+    x[ii] = common::div_by_pivot(acc, l[static_cast<size_t>(ii) * n + ii].re);
   }
 }
 

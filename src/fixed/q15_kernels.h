@@ -1,13 +1,13 @@
-// Host-native Q1.15 kernels mirroring the simulated receive chain.
+// Host-native Q1.15 kernels: the receive chain's kernels as plain loops over
+// host memory.
 //
-// Every function here reimplements the *functional* arithmetic of one
-// simulated kernel (src/kernels/) on plain host memory: the same Q1.15/Q2.30
-// operations from common/fixed_point.h and common/complex16.h, the same
-// twiddle and rounding semantics, the same accumulation structure.  The
-// simulated kernels separate functional math from timing tokens, so a host
-// loop that replays the functional side produces bit-identical outputs -
-// that is the contract runtime::Fixed_backend builds on (and
-// tests/test_backend_fixed.cpp pins against the sim backend).
+// The per-element arithmetic - butterflies, CHE products, Gram finishes, NE
+// residuals, Cholesky and substitution steps - is not written here: every
+// kernel calls the value-chain functions of common/q15_chain.h, the same
+// ones the simulated kernels (src/kernels/) call between their loads and
+// stores.  What this file owns is the loop structure around them, and that
+// structure keeps the accumulation order exact integer arithmetic, so the
+// outputs are bit-identical to the sim kernels' (tests/test_q15_chain.cpp).
 //
 // All kernels are range-parameterized: the full-range call is the serial
 // kernel, and disjoint sub-ranges can run on worker threads.  Except for the
@@ -22,6 +22,7 @@
 #include <vector>
 
 #include "common/complex16.h"
+#include "common/q15_chain.h"
 #include "kernels/fft_plan.h"
 
 namespace pp::fixed {
@@ -48,8 +49,8 @@ struct Fft_plan {
 const Fft_plan& fft_plan(uint32_t n);
 
 // One in-place stage over butterflies [g_begin, g_end): the radix-4 DIF
-// butterfly of src/kernels/fft.cpp (1/4 input scaling, -j rotation, stage
-// twiddles on outputs 1..3).  The final stage writes digit-reversed into
+// butterfly (common::radix4_dif, then common::radix4_twiddle on outputs
+// 1..3).  The final stage writes digit-reversed into
 // `out` instead of back into `buf`.  Butterflies of one stage touch disjoint
 // elements, so disjoint ranges may run concurrently; a barrier is required
 // between stages.
@@ -63,17 +64,16 @@ void fft_transform(const Fft_plan& plan, cq15* buf, cq15* out, bool simd);
 // ---- beamforming MMM ------------------------------------------------------
 
 // c[i*p + q] = round(sum_k a[i*k_dim + k] * b[k*p + q]) for rows
-// [i_begin, i_end): the wide-accumulator matrix multiply of
-// src/kernels/mmm.cpp (the k-stagger there only reorders an exact int64
-// sum).
+// [i_begin, i_end): a wide-accumulator matrix multiply (the sim kernel's
+// k-stagger only reorders an exact int64 sum).
 void mmm_rows(const cq15* a, const cq15* b, cq15* c, uint32_t k_dim,
               uint32_t p, uint32_t i_begin, uint32_t i_end);
 
 // ---- channel estimate -----------------------------------------------------
 
 // Block-LS channel estimate for sub-carriers [sc_begin, sc_end):
-// h[(sc*n_b + b)*n_l + l] = 2 * y_sep[l][sc*n_b + b] * conj(pilot[l][sc]),
-// the doubling folding the pilots' |x|^2 = 1/2 (src/kernels/che_ne.cpp).
+// h[(sc*n_b + b)*n_l + l] = common::che_elem(y_sep[l][sc*n_b + b],
+// conj(pilot[l][sc])).
 void che_subcarriers(const std::vector<std::vector<cq15>>& y_sep,
                      const std::vector<std::vector<cq15>>& pilots, cq15* h,
                      uint32_t n_b, uint32_t n_l, uint32_t sc_begin,
@@ -81,19 +81,16 @@ void che_subcarriers(const std::vector<std::vector<cq15>>& y_sep,
 
 // ---- noise estimate -------------------------------------------------------
 
-// Sub-carrier block owned by core `idx` of `n_cores` under the sim kernels'
-// ceil-chunk partition (che_ne.cpp block_of).
-struct Sc_block {
-  uint32_t lo, hi;
-};
-Sc_block sc_block(uint32_t n_sc, uint32_t n_cores, uint32_t idx);
+// The simulated NE's core partition, re-exported for host callers.
+using common::Sc_block;
+using common::sc_block;
 
-// Q2.30 residual-power partial over sub-carriers [sc_begin, sc_end):
-// sum_{sc,b} |y[sc*n_b+b] - round(sum_l h[(sc*n_b+b)*n_l+l] * pilot[l][sc])|^2.
-// The sim NE folds one such partial per core into a uint32 word
-// (contrib = uint32(max(0, partial >> 15)), summed mod 2^32), so the final
-// estimate depends on the core-block partition: callers must compute one
-// partial per simulated core block and fold exactly the same way.
+// Q2.30 residual-power partial over sub-carriers [sc_begin, sc_end): the sum
+// of common::ne_residual(y[sc*n_b+b], sum_l h[(sc*n_b+b)*n_l+l] *
+// pilot[l][sc]).  The sim NE folds one such partial per core with
+// common::ne_fold and sums the words mod 2^32, so the estimate depends on
+// the core partition: callers compute one partial per common::sc_block of
+// the simulated core count and fold exactly the same way.
 int64_t ne_partial(const cq15* y, const cq15* h,
                    const std::vector<std::vector<cq15>>& pilots, uint32_t n_b,
                    uint32_t n_l, uint32_t sc_begin, uint32_t sc_end);
@@ -101,24 +98,24 @@ int64_t ne_partial(const cq15* y, const cq15* h,
 // ---- Gram + matched filter ------------------------------------------------
 
 // Regularized Gramian and matched-filter rhs for sub-carriers
-// [sc_begin, sc_end): g[(sc*n_l+i)*n_l+j] = round(sum_b h_b[j] conj(h_b[i]))
-// (+ sigma on the diagonal, upper triangle mirrored conjugate) and
-// rhs[sc*n_l+i] = round(sum_b y_b conj(h_b[i])), with h_b[l] =
-// h[(sc*n_b+b)*n_l+l] (src/kernels/gram.cpp; n_l <= 8).
+// [sc_begin, sc_end): g[(sc*n_l+i)*n_l+j] = common::gram_entry(sum_b h_b[j]
+// conj(h_b[i])), upper triangle by common::gram_mirror, and rhs[sc*n_l+i] =
+// round(sum_b y_b conj(h_b[i])), with h_b[l] = h[(sc*n_b+b)*n_l+l]
+// (n_l <= common::max_layers).
 void gram_subcarriers(const cq15* h, const cq15* y, cq15 sigma, cq15* g,
                       cq15* rhs, uint32_t n_b, uint32_t n_l,
                       uint32_t sc_begin, uint32_t sc_end);
 
 // ---- Cholesky + triangular solves -----------------------------------------
 
-// Lower-triangular Cholesky factor of the n x n Hermitian matrix g
-// (src/kernels/cholesky.cpp chol_single): Q2.30 diagonal accumulation with
-// sqrt_q15, wide off-diagonal accumulation with complex-by-real div_q15.
-// The upper triangle of l is zeroed.
+// Lower-triangular Cholesky factor of the n x n Hermitian matrix g, column
+// by column in the sim kernel's order: common::chol_diag_* on the diagonal,
+// common::div_by_pivot off it.  The upper triangle of l is zeroed.
 void cholesky(const cq15* g, cq15* l, uint32_t n);
 
 // Forward (L z = y) then backward (L^H x = z) substitution on the factor
-// produced by cholesky() (src/kernels/cholesky.cpp Trisolve_batch); n <= 8.
+// produced by cholesky(), each step finished by common::div_by_pivot;
+// n <= common::max_layers.
 void trisolve(const cq15* l, const cq15* y, cq15* x, uint32_t n);
 
 }  // namespace pp::fixed

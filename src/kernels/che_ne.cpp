@@ -1,32 +1,15 @@
 #include "kernels/che_ne.h"
 
+#include "common/q15_chain.h"
 #include "kernels/util.h"
 
 namespace pp::kernels {
 
 using common::cacc;
-using common::cadd;
 using common::cconj;
-using common::cmul;
 using common::cq15;
-using common::csub;
 using common::pack_cq15;
-using common::q15_frac_bits;
 using common::unpack_cq15;
-
-namespace {
-
-// Sub-carrier block of core idx out of n_cores.
-struct Block {
-  uint32_t lo, hi;
-};
-Block block_of(uint32_t n_sc, uint32_t n_cores, uint32_t idx) {
-  const uint32_t chunk = (n_sc + n_cores - 1) / n_cores;
-  const uint32_t lo = std::min(idx * chunk, n_sc);
-  return {lo, std::min(lo + chunk, n_sc)};
-}
-
-}  // namespace
 
 // ---------------------------------------------------------------------------
 // Che
@@ -58,7 +41,7 @@ std::vector<cq15> Che::h() const {
 }
 
 sim::Prog Che::core_prog(sim::Core& c, uint32_t idx) {
-  const Block blk = block_of(n_sc_, n_cores_, idx);
+  const common::Sc_block blk = common::sc_block(n_sc_, n_cores_, idx);
   // Beam loop staggered by position in the tile and processed four beams at
   // a time: batching hides the load-to-use latency and the stagger keeps
   // same-tile cores off each other's banks (paper's conflict-avoidance).
@@ -88,13 +71,10 @@ sim::Prog Che::core_prog(sim::Core& c, uint32_t idx) {
         cq15 hv[4];
         uint64_t hd[4];
         for (uint32_t i = 0; i < nb; ++i) {
-          hv[i] = cmul(unpack_cq15(yv[i].value), xc);
+          hv[i] = common::che_elem(unpack_cq15(yv[i].value), xc);
           hd[i] = c.cmul(yv[i].ready, xp.ready);
         }
-        for (uint32_t i = 0; i < nb; ++i) {
-          hv[i] = cadd(hv[i], hv[i]);
-          hd[i] = c.cadd(hd[i]);
-        }
+        for (uint32_t i = 0; i < nb; ++i) hd[i] = c.cadd(hd[i]);
         for (uint32_t i = 0; i < nb; ++i) {
           co_await c.store(h_ + (sc * n_b_ + b0 + i) * n_l_ + l,
                            pack_cq15(hv[i]), hd[i]);
@@ -148,14 +128,11 @@ void Ne::set_pilot(uint32_t l, std::span<const cq15> x) {
 }
 
 double Ne::sigma2() const {
-  const uint32_t raw = m_.mem().peek(acc_);
-  const double count = static_cast<double>(n_sc_) * n_b_;
-  return static_cast<double>(raw) /
-         (count * static_cast<double>(1 << q15_frac_bits));
+  return common::ne_sigma2(m_.mem().peek(acc_), n_sc_, n_b_);
 }
 
 sim::Prog Ne::core_prog(sim::Core& c, uint32_t idx) {
-  const Block blk = block_of(n_sc_, n_cores_, idx);
+  const common::Sc_block blk = common::sc_block(n_sc_, n_cores_, idx);
   int64_t partial = 0;  // Q2.30 accumulator
   uint64_t pdep = 0;
   for (uint32_t sc = blk.lo; sc < blk.hi; ++sc) {
@@ -175,9 +152,8 @@ sim::Prog Ne::core_prog(sim::Core& c, uint32_t idx) {
         yhat.mac(unpack_cq15(hv.value), xv[l]);
         dep = c.cmac(std::max(hv.ready, xt[l].ready), dep);
       }
-      const cq15 diff = csub(unpack_cq15(yv.value), yhat.round());
+      partial += common::ne_residual(unpack_cq15(yv.value), yhat);
       const uint64_t ddep = c.cadd(yv.ready, dep);
-      partial += common::cmag2_raw(diff);
       pdep = c.op(1, ddep, pdep, c.cfg->mul_latency);  // |.|^2 MAC
       c.alu(2);  // b loop bookkeeping
     }
@@ -185,9 +161,7 @@ sim::Prog Ne::core_prog(sim::Core& c, uint32_t idx) {
   }
   // Fold the Q2.30 partial into Q15 units and merge atomically.
   c.alu_use(2, pdep);
-  const uint32_t contrib = static_cast<uint32_t>(
-      std::max<int64_t>(0, partial >> q15_frac_bits));
-  co_await c.amo_add(acc_, contrib);
+  co_await c.amo_add(acc_, common::ne_fold(partial));
   co_await sim::barrier_wait(c, bar_);
 }
 

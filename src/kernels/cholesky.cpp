@@ -1,18 +1,13 @@
 #include "kernels/cholesky.h"
 
-#include "common/fixed_point.h"
+#include "common/q15_chain.h"
 #include "kernels/util.h"
 
 namespace pp::kernels {
 
 using common::cacc;
-using common::cmag2_raw;
 using common::cq15;
-using common::div_q15;
 using common::pack_cq15;
-using common::q15_frac_bits;
-using common::sat16;
-using common::sqrt_q15;
 using common::unpack_cq15;
 
 // ---------------------------------------------------------------------------
@@ -35,11 +30,9 @@ sim::Prog chol_offdiag(sim::Core& c, Chol_layout lay, uint32_t i, uint32_t j) {
   uint64_t dep = chain[0];
   if (j > 1) dep = c.cadd(chain[0], chain[1]);  // combine partials
   const sim::Tok dj = co_await c.load(lay.l_addr(j, j));
-  const int16_t diag = unpack_cq15(dj.value).re;
-  const cq15 num = acc.round();
-  const cq15 val{div_q15(num.re, diag), div_q15(num.im, diag)};
+  const cq15 val = common::div_by_pivot(acc, unpack_cq15(dj.value).re);
   // Software complex-by-real division (Snitch has no 16-bit divider).
-  const uint64_t d = div_cr_q15_soft(c, dep, dj.ready);
+  const uint64_t d = soft_div_cr(c, dep, dj.ready);
   co_await c.store(lay.l_addr(i, j), pack_cq15(val), d);
   c.alu(2);  // loop bookkeeping
 }
@@ -47,21 +40,19 @@ sim::Prog chol_offdiag(sim::Core& c, Chol_layout lay, uint32_t i, uint32_t j) {
 sim::Prog chol_diag(sim::Core& c, Chol_layout lay, uint32_t j) {
   c.alu(2);
   const sim::Tok g = co_await c.load(lay.g_addr(j, j));
-  int64_t acc = static_cast<int64_t>(unpack_cq15(g.value).re)
-                << q15_frac_bits;
+  int64_t acc = common::chol_diag_init(unpack_cq15(g.value));
   uint64_t chain[2] = {g.ready, 0};
   for (uint32_t k = 0; k < j; ++k) {
     const sim::Tok a = co_await c.load(lay.l_addr(j, k));
-    acc -= cmag2_raw(unpack_cq15(a.value));
+    acc = common::chol_diag_sub(acc, unpack_cq15(a.value));
     chain[k & 1] = c.op(1, a.ready, chain[k & 1], c.cfg->mul_latency);
   }
   uint64_t dep = chain[0];
   if (j > 1) dep = c.op(1, chain[0], chain[1], 1);  // combine partials
   // 12-instruction shift-add square root (Q15).
-  const uint64_t s = sqrt_q15_soft(c, dep);
-  const int16_t r =
-      sqrt_q15(sat16((acc + (1 << (q15_frac_bits - 1))) >> q15_frac_bits));
-  co_await c.store(lay.l_addr(j, j), pack_cq15(cq15{r, 0}), s);
+  const uint64_t s = soft_sqrt(c, dep);
+  co_await c.store(lay.l_addr(j, j),
+                   pack_cq15(common::chol_diag_finish(acc)), s);
   c.alu(2);
 }
 
@@ -298,7 +289,7 @@ sim::Kernel_report Chol_serial::run(arch::core_id core) {
 Trisolve_batch::Trisolve_batch(sim::Machine& m, arch::L1_alloc& alloc,
                                uint32_t n, uint32_t per_core, uint32_t n_cores)
     : m_(m), n_(n), per_core_(per_core), n_cores_(n_cores) {
-  PP_CHECK(n_ <= 4, "batched solve supports n <= 4 (per-subcarrier MIMO)");
+  PP_CHECK(n_ <= max_n, "batched solve supports n <= 4 (per-subcarrier MIMO)");
   PP_CHECK(n_cores_ <= m_.config().n_cores(), "not enough cores");
   // Per system: L (depth n per bank) + y and x vectors (1 row each).
   base_row_ = alloc.alloc_rows(per_core_ * (n_ + 2));
@@ -344,8 +335,9 @@ std::vector<cq15> Trisolve_batch::x(uint32_t core, uint32_t idx) const {
 sim::Prog Trisolve_batch::core_prog(sim::Core& c, uint32_t core) {
   for (uint32_t idx = 0; idx < per_core_; ++idx) {
     c.alu(3);  // system pointers
-    cq15 z[4], x[4], diag[4];
-    uint64_t zdep[4] = {}, xdep[4] = {}, ddep[4] = {};
+    cq15 z[max_n], x[max_n];
+    int16_t diag[max_n];
+    uint64_t zdep[max_n] = {}, xdep[max_n] = {}, ddep[max_n] = {};
     // Forward substitution: L z = y (z kept in registers).
     for (uint32_t i = 0; i < n_; ++i) {
       const sim::Tok y = co_await c.load(v_addr(core, idx, 0, i));
@@ -358,11 +350,10 @@ sim::Prog Trisolve_batch::core_prog(sim::Core& c, uint32_t core) {
         dep = c.cmac(std::max(lv.ready, zdep[k]), dep);
       }
       const sim::Tok dv = co_await c.load(l_addr(core, idx, i, i));
-      diag[i] = unpack_cq15(dv.value);
+      diag[i] = unpack_cq15(dv.value).re;
       ddep[i] = dv.ready;
-      const cq15 num = acc.round();
-      z[i] = cq15{div_q15(num.re, diag[i].re), div_q15(num.im, diag[i].re)};
-      zdep[i] = div_cr_q15_soft(c, dep, dv.ready);
+      z[i] = common::div_by_pivot(acc, diag[i]);
+      zdep[i] = soft_div_cr(c, dep, dv.ready);
     }
     // Backward substitution: L^H x = z.
     for (uint32_t ii = n_; ii-- > 0;) {
@@ -374,9 +365,8 @@ sim::Prog Trisolve_batch::core_prog(sim::Core& c, uint32_t core) {
         acc.msu_conj(x[k], unpack_cq15(lv.value));  // conj(L[k][i]) * x[k]
         dep = c.cmac(std::max(lv.ready, xdep[k]), dep);
       }
-      const cq15 num = acc.round();
-      x[ii] = cq15{div_q15(num.re, diag[ii].re), div_q15(num.im, diag[ii].re)};
-      xdep[ii] = div_cr_q15_soft(c, dep, ddep[ii]);
+      x[ii] = common::div_by_pivot(acc, diag[ii]);
+      xdep[ii] = soft_div_cr(c, dep, ddep[ii]);
     }
     c.alu(2);
     for (uint32_t i = 0; i < n_; ++i) {

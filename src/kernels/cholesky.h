@@ -147,6 +147,9 @@ class Chol_serial {
 // `per_core` independent systems from its local banks.
 class Trisolve_batch {
  public:
+  // Largest n: the solution vectors live in registers.
+  static constexpr uint32_t max_n = 4;
+
   Trisolve_batch(sim::Machine& m, arch::L1_alloc& alloc, uint32_t n,
                  uint32_t per_core, uint32_t n_cores);
 

@@ -1,23 +1,18 @@
 #include "kernels/fft.h"
 
+#include "common/q15_chain.h"
+
 namespace pp::kernels {
 
-using common::cadd;
-using common::cmul;
-using common::cmul_mj;
 using common::cq15;
-using common::cquarter;
-using common::csub;
 using common::pack_cq15;
 using common::unpack_cq15;
 
 namespace {
 
-// Functional + timing model of one radix-4 DIF butterfly.
-//
-// Inputs are pre-scaled by 1/4 (one SIMD shift each) so the Q1.15 adds
-// cannot saturate; three outputs are rotated by the stage twiddles except in
-// the last stage (all twiddles are 1 there).
+// Timing model of one radix-4 DIF butterfly around its shared value chain
+// (common::radix4_dif / radix4_twiddle): three outputs are rotated by the
+// stage twiddles except in the last stage (all twiddles are 1 there).
 struct Bf_out {
   cq15 v[4];
   uint64_t dep[4];
@@ -26,19 +21,10 @@ struct Bf_out {
 Bf_out butterfly(sim::Core& c, const sim::Tok (&xt)[4], const sim::Tok (&twt)[3],
                  const cq15 (&twv)[3], bool last) {
   // Functional math (identical in both ISA variants).
-  cq15 x[4];
-  for (int j = 0; j < 4; ++j) x[j] = cquarter(unpack_cq15(xt[j].value));
-  const cq15 a = cadd(x[0], x[2]);
-  const cq15 cc = csub(x[0], x[2]);
-  const cq15 b = cadd(x[1], x[3]);
-  const cq15 d = csub(x[1], x[3]);
-  const cq15 dj = cmul_mj(d);  // -j rotation
-
   Bf_out o;
-  o.v[0] = cadd(a, b);
-  o.v[1] = cadd(cc, dj);
-  o.v[2] = csub(a, b);
-  o.v[3] = csub(cc, dj);
+  for (int j = 0; j < 4; ++j) o.v[j] = unpack_cq15(xt[j].value);
+  common::radix4_dif(o.v);
+  if (!last) common::radix4_twiddle(o.v, twv);
 
   if (c.cfg->isa_fused_butterfly) {
     // Paper SVI future work: a fused radix-4 add-network instruction pair
@@ -62,10 +48,7 @@ Bf_out butterfly(sim::Core& c, const sim::Tok (&xt)[4], const sim::Tok (&twt)[3]
   }
 
   if (!last) {
-    for (int m = 1; m < 4; ++m) {
-      o.v[m] = cmul(o.v[m], twv[m - 1]);
-      o.dep[m] = c.cmul(o.dep[m], twt[m - 1].ready);
-    }
+    for (int m = 1; m < 4; ++m) o.dep[m] = c.cmul(o.dep[m], twt[m - 1].ready);
   }
   return o;
 }

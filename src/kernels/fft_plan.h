@@ -25,11 +25,14 @@
 namespace pp::kernels {
 
 struct Fft_geom {
-  uint32_t n = 0;       // FFT size, a power of 4, >= 16
+  uint32_t n = 0;       // FFT size, a power of 4, >= min_size
   uint32_t stages = 0;  // log4(n)
 
+  // One core's share of the parallel mapping: 4 butterflies of 4 points.
+  static constexpr uint32_t min_size = 16;
+
   static bool valid_size(uint32_t n) {
-    if (n < 16) return false;
+    if (n < min_size) return false;
     while (n > 1) {
       if (n % 4 != 0) return false;
       n /= 4;
@@ -43,7 +46,7 @@ struct Fft_geom {
   }
 
   // Cores needed by the parallel mapping (4 butterflies per core).
-  uint32_t cores() const { return n / 16; }
+  uint32_t cores() const { return n / min_size; }
 
   // Butterfly distance at stage k.
   uint32_t d(uint32_t k) const { return n >> (2 * (k + 1)); }

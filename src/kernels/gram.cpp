@@ -1,12 +1,11 @@
 #include "kernels/gram.h"
 
+#include "common/q15_chain.h"
 #include "kernels/util.h"
 
 namespace pp::kernels {
 
 using common::cacc;
-using common::cadd;
-using common::cconj;
 using common::cq15;
 using common::pack_cq15;
 using common::unpack_cq15;
@@ -14,7 +13,8 @@ using common::unpack_cq15;
 Gram_batch::Gram_batch(sim::Machine& m, arch::L1_alloc& alloc, uint32_t n_sc,
                        uint32_t n_b, uint32_t n_l, uint32_t n_cores)
     : m_(m), n_sc_(n_sc), n_b_(n_b), n_l_(n_l), n_cores_(n_cores) {
-  PP_CHECK(n_l_ <= 8, "gram kernel keeps one H column in registers (n_l <= 8)");
+  PP_CHECK(n_l_ <= common::max_layers,
+           "gram kernel keeps one H row in registers (n_l <= max_layers)");
   h_ = alloc.alloc(static_cast<uint64_t>(n_sc_) * n_b_ * n_l_);
   y_ = alloc.alloc(static_cast<uint64_t>(n_sc_) * n_b_);
   sigma_ = alloc.alloc(1);
@@ -49,20 +49,19 @@ std::vector<cq15> Gram_batch::rhs(uint32_t sc) const {
 }
 
 sim::Prog Gram_batch::core_prog(sim::Core& c, uint32_t idx) {
-  const uint32_t chunk = (n_sc_ + n_cores_ - 1) / n_cores_;
-  const uint32_t lo = std::min(idx * chunk, n_sc_);
-  const uint32_t hi = std::min(lo + chunk, n_sc_);
+  const common::Sc_block blk = common::sc_block(n_sc_, n_cores_, idx);
 
   const sim::Tok sig = co_await c.load(sigma_);
   const cq15 sigma = unpack_cq15(sig.value);
 
-  for (uint32_t sc = lo; sc < hi; ++sc) {
+  for (uint32_t sc = blk.lo; sc < blk.hi; ++sc) {
     c.alu(3);  // sub-carrier base pointers
     // Accumulators: lower triangle of G plus the rhs vector.
-    cacc acc[8][8];
-    cacc racc[8];
-    uint64_t dep[8][8] = {};
-    uint64_t rdep[8] = {};
+    constexpr uint32_t max_l = common::max_layers;
+    cacc acc[max_l][max_l];
+    cacc racc[max_l];
+    uint64_t dep[max_l][max_l] = {};
+    uint64_t rdep[max_l] = {};
     for (uint32_t i = 0; i < n_l_; ++i) {
       for (uint32_t j = 0; j <= i; ++j) acc[i][j] = cacc{};
       racc[i] = cacc{};
@@ -70,8 +69,8 @@ sim::Prog Gram_batch::core_prog(sim::Core& c, uint32_t idx) {
 
     for (uint32_t b = 0; b < n_b_; ++b) {
       // One H row (all layers of this beam) lives in registers.
-      sim::Tok ht[8];
-      cq15 hv[8];
+      sim::Tok ht[max_l];
+      cq15 hv[max_l];
       for (uint32_t l = 0; l < n_l_; ++l) {
         ht[l] = co_await c.load(h_ + (sc * n_b_ + b) * n_l_ + l);
         hv[l] = unpack_cq15(ht[l].value);
@@ -95,16 +94,13 @@ sim::Prog Gram_batch::core_prog(sim::Core& c, uint32_t idx) {
     c.alu(2);
     for (uint32_t i = 0; i < n_l_; ++i) {
       for (uint32_t j = 0; j <= i; ++j) {
-        cq15 v = acc[i][j].round();
+        const cq15 v = common::gram_entry(acc[i][j], i == j, sigma);
         uint64_t d = dep[i][j];
-        if (i == j) {
-          v = cadd(v, sigma);
-          d = c.cadd(d, sig.ready);
-        }
+        if (i == j) d = c.cadd(d, sig.ready);
         co_await c.store(g_ + (sc * n_l_ + i) * n_l_ + j, pack_cq15(v), d);
         if (i != j) {
           co_await c.store(g_ + (sc * n_l_ + j) * n_l_ + i,
-                           pack_cq15(cconj(v)), c.cadd(d));
+                           pack_cq15(common::gram_mirror(v)), c.cadd(d));
         }
       }
       co_await c.store(rhs_ + sc * n_l_ + i, pack_cq15(racc[i].round()),

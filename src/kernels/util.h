@@ -16,18 +16,17 @@ namespace pp::kernels {
 // 16-bit divide/sqrt hardware): they cost instructions, not unit stalls.
 
 // Q15 square root: 12-instruction shift-add routine.
-inline uint64_t sqrt_q15_soft(sim::Core& c, uint64_t dep,
-                              std::source_location sl =
-                                  std::source_location::current()) {
+inline uint64_t soft_sqrt(sim::Core& c, uint64_t dep,
+                          std::source_location sl =
+                              std::source_location::current()) {
   return c.op(12, dep, 0, c.cfg->mul_latency, sl);
 }
 
 // Q15 complex-by-real-scalar division (both components share the
 // normalization): 16-instruction routine.
-inline uint64_t div_cr_q15_soft(sim::Core& c, uint64_t dep_num,
-                                uint64_t dep_den,
-                                std::source_location sl =
-                                    std::source_location::current()) {
+inline uint64_t soft_div_cr(sim::Core& c, uint64_t dep_num, uint64_t dep_den,
+                            std::source_location sl =
+                                std::source_location::current()) {
   return c.op(16, dep_num, dep_den, c.cfg->mul_latency, sl);
 }
 

@@ -1,12 +1,14 @@
 // Fixed-point host slot execution, bit-identical to the sim backend.
 //
-// This file replays backend_sim.cpp's host marshaling line by line - the
-// same quantize/dequantize round-trips at the same block-rescaling factors,
-// the same per-symbol loop structure, the same EVM/BER epilogue order - and
-// substitutes each simulated kernel launch with the host Q15 kernels of
-// src/fixed/.  Any change to the sim backend's marshaling must be mirrored
-// here (tests/test_backend_fixed.cpp pins the bit-exact contract across a
-// scenario grid, worker counts and the split/pipelined path).
+// The Q15 arithmetic is shared with the simulator through
+// common/q15_chain.h (via the host kernels of src/fixed/), and the BER
+// epilogue is phy::payload_ber.  What this file keeps in step with
+// backend_sim.cpp is only the marshaling order: the same quantize/dequantize
+// round-trips at the same block-rescaling factors, the same NE core
+// partition, the same serial EVM order.  A change to the sim backend's
+// marshaling must be made here too (tests/test_backend_fixed.cpp pins the
+// bit-exact contract across a scenario grid, worker counts and the
+// split/pipelined path).
 //
 // All marshaling staging lives in the backend's slot workspaces
 // (grow-then-stabilize): after the first slot of a shape, a run allocates
@@ -15,6 +17,7 @@
 #include <cmath>
 
 #include "common/check.h"
+#include "common/q15_chain.h"
 #include "fixed/q15_kernels.h"
 #include "fixed/simd.h"
 #include "runtime/backend_fixed.h"
@@ -27,13 +30,6 @@ namespace {
 using common::cq15;
 using common::Thread_pool;
 using phy::cd;
-
-const Stage_spec& require(const Pipeline& p, Stage_role role,
-                          const char* what) {
-  const Stage_spec* s = p.find(role);
-  PP_CHECK(s != nullptr && !s->run.kernel.empty(), what);
-  return *s;
-}
 
 }  // namespace
 
@@ -50,9 +46,9 @@ void Fixed_backend::run_front_into(const Pipeline& p,
            "fixed backend assumes all FFT bins are active sub-carriers");
   const uint32_t n = cfg.fft_size;
   const Stage_spec& fft_spec =
-      require(p, Stage_role::fft, "pipeline needs an fft stage");
+      p.require(Stage_role::fft, "pipeline needs an fft stage");
   const Stage_spec& bf_spec =
-      require(p, Stage_role::beamform, "pipeline needs a beamform stage");
+      p.require(Stage_role::beamform, "pipeline needs a beamform stage");
   const double s_time = fft_spec.rescale;
   const double s_grid = bf_spec.rescale;
   // The kernel computes FFT/N of the s_time-scaled samples and the
@@ -169,13 +165,13 @@ void Fixed_backend::run_back_into(const Pipeline& p,
   const uint32_t n_b = cfg.n_beams;
   const uint32_t n_l = cfg.n_ue;
   const Stage_spec& che_spec =
-      require(p, Stage_role::che, "pipeline needs a che stage");
+      p.require(Stage_role::che, "pipeline needs a che stage");
   const Stage_spec& ne_spec =
-      require(p, Stage_role::ne, "pipeline needs an ne stage");
+      p.require(Stage_role::ne, "pipeline needs an ne stage");
   const Stage_spec& gram_spec =
-      require(p, Stage_role::gram, "pipeline needs a gram stage");
+      p.require(Stage_role::gram, "pipeline needs a gram stage");
   const Stage_spec& mimo_spec =
-      require(p, Stage_role::mimo_solve, "pipeline needs a mimo_solve stage");
+      p.require(Stage_role::mimo_solve, "pipeline needs a mimo_solve stage");
   const double s_che = che_spec.rescale;
   const double s_est = ne_spec.rescale;
   const double s_rhs = gram_spec.rescale;
@@ -218,20 +214,14 @@ void Fixed_backend::run_back_into(const Pipeline& p,
   if (ne_cores == 0) ne_cores = p.cluster().n_cores();
   common::ws_grow(contribs_, ne_cores);
   pool_.parallel_for(ne_cores, [&](uint64_t idx) {
-    const fixed::Sc_block blk =
-        fixed::sc_block(n, ne_cores, static_cast<uint32_t>(idx));
-    const int64_t partial = fixed::ne_partial(
-        y_est_.data(), h_est_.data(), pilots_q_, n_b, n_l, blk.lo, blk.hi);
-    contribs_[idx] = static_cast<uint32_t>(
-        std::max<int64_t>(0, partial >> common::q15_frac_bits));
+    const common::Sc_block blk =
+        common::sc_block(n, ne_cores, static_cast<uint32_t>(idx));
+    contribs_[idx] = common::ne_fold(fixed::ne_partial(
+        y_est_.data(), h_est_.data(), pilots_q_, n_b, n_l, blk.lo, blk.hi));
   });
   uint32_t raw = 0;  // wraps mod 2^32 like the simulated amo_add word
   for (uint32_t i = 0; i < ne_cores; ++i) raw += contribs_[i];
-  const double count = static_cast<double>(n) * n_b;
-  const double sigma2_hat =
-      static_cast<double>(raw) /
-      (count * static_cast<double>(1 << common::q15_frac_bits)) /
-      (s_est * s_est);
+  const double sigma2_hat = common::ne_sigma2(raw, n, n_b) / (s_est * s_est);
   out.sigma2_hat = sigma2_hat;
 
   // ---- MIMO per data symbol: G = H^H H + sigma2 I, Cholesky, solves ----
@@ -269,7 +259,7 @@ void Fixed_backend::run_back_into(const Pipeline& p,
           fixed::gram_subcarriers(gh_q_.data(), y_q_[b].data(), sigma,
                                   g_syms_[b].data(), rhs_syms_[b].data(), n_b,
                                   n_l, scx, scx + 1);
-          cq15 lmat[64];
+          cq15 lmat[common::max_layers * common::max_layers];
           fixed::cholesky(
               g_syms_[b].data() + static_cast<size_t>(scx) * n_l * n_l, lmat,
               n_l);
@@ -299,17 +289,10 @@ void Fixed_backend::run_back_into(const Pipeline& p,
   }
   out.evm = std::sqrt(evm_acc / static_cast<double>(evm_cnt));
 
-  uint64_t nerr = 0, nbits = 0;
   for (uint32_t l = 0; l < n_l; ++l) {
     phy::qam_demodulate_into(cfg.qam, out.symbols[l], out.bits[l]);
-    const auto& want = sc.tx_bits(l);
-    PP_CHECK(want.size() == out.bits[l].size(), "payload size mismatch");
-    for (size_t i = 0; i < want.size(); ++i) {
-      nerr += want[i] != out.bits[l][i];
-      ++nbits;
-    }
   }
-  out.ber = static_cast<double>(nerr) / static_cast<double>(nbits);
+  out.ber = phy::payload_ber(sc, out.bits);
 }
 
 size_t Fixed_backend::workspace_bytes() const {

@@ -1,14 +1,16 @@
 // Fixed-point host backend: the sim backend's Q1.15 arithmetic at host
 // speed.
 //
-// Fixed_backend replays the exact marshaling of Sim_backend - the same
-// quantize/dequantize round-trips, block-rescaling factors and host-side
-// loop order - but executes each kernel's functional Q15 math through the
-// host subsystem in src/fixed/ instead of the cycle-approximate simulator.
-// Because the simulated kernels separate functional values from timing
-// tokens, the result is **bit-identical** to the sim backend: same payload
-// bits, same EVM/BER doubles, same sigma2_hat - an exact cross-check where
-// the double-precision backends only offer tolerances.
+// Fixed_backend runs each kernel through the host loops of src/fixed/
+// instead of the cycle-approximate simulator.  The arithmetic is shared,
+// not copied: the host kernels and the simulated kernels compute every
+// element through common/q15_chain.h, and both backends end in
+// phy::payload_ber.  Only the marshaling order mirrors backend_sim.cpp -
+// the same quantize/dequantize round-trips, block-rescaling factors, NE
+// core partition and epilogue loop order.  The result is **bit-identical**
+// to the sim backend: same payload bits, same EVM/BER doubles, same
+// sigma2_hat - an exact cross-check where the double-precision backends
+// only offer tolerances.
 //
 // Parallel structure (common::Thread_pool, like Parallel_backend):
 //

@@ -1,9 +1,9 @@
 // Functional slot execution on the cycle-approximate simulated cluster.
 //
-// Port of the original pusch::run_sim_uplink, driven by the Pipeline
-// description: stage kernels come from the registry, block-rescaling
-// factors and Cholesky symbol-batching come from the Stage_specs, and all
-// kernels are driven through the uniform runtime::Kernel lifecycle.  Between
+// Driven by the Pipeline description: stage kernels come from the registry,
+// block-rescaling factors and Cholesky symbol-batching come from the
+// Stage_specs, and all kernels are driven through the uniform
+// runtime::Kernel lifecycle.  Between
 // kernel launches the host only marshals data and applies power-of-two
 // block rescaling (the role DMA + block-floating-point shifts play in a
 // real deployment).
@@ -26,13 +26,6 @@ void accumulate(Slot_result::Stage& st, const sim::Kernel_report& r) {
   st.instrs += r.instrs;
   for (size_t k = 0; k < sim::n_stall_kinds; ++k) st.stall[k] += r.stall[k];
   ++st.runs;
-}
-
-const Stage_spec& require(const Pipeline& p, Stage_role role,
-                          const char* what) {
-  const Stage_spec* s = p.find(role);
-  PP_CHECK(s != nullptr && !s->run.kernel.empty(), what);
-  return *s;
 }
 
 }  // namespace
@@ -76,12 +69,12 @@ void Sim_backend::run_slot_into(const Pipeline& p,
   const uint32_t n = cfg.fft_size;
   const uint32_t n_cores = cluster.n_cores();
 
-  const Stage_spec& fft_spec = require(p, Stage_role::fft, "pipeline needs an fft stage");
-  const Stage_spec& bf_spec = require(p, Stage_role::beamform, "pipeline needs a beamform stage");
-  const Stage_spec& che_spec = require(p, Stage_role::che, "pipeline needs a che stage");
-  const Stage_spec& ne_spec = require(p, Stage_role::ne, "pipeline needs an ne stage");
-  const Stage_spec& gram_spec = require(p, Stage_role::gram, "pipeline needs a gram stage");
-  const Stage_spec& mimo_spec = require(p, Stage_role::mimo_solve, "pipeline needs a mimo_solve stage");
+  const Stage_spec& fft_spec = p.require(Stage_role::fft, "pipeline needs an fft stage");
+  const Stage_spec& bf_spec = p.require(Stage_role::beamform, "pipeline needs a beamform stage");
+  const Stage_spec& che_spec = p.require(Stage_role::che, "pipeline needs a che stage");
+  const Stage_spec& ne_spec = p.require(Stage_role::ne, "pipeline needs an ne stage");
+  const Stage_spec& gram_spec = p.require(Stage_role::gram, "pipeline needs a gram stage");
+  const Stage_spec& mimo_spec = p.require(Stage_role::mimo_solve, "pipeline needs a mimo_solve stage");
 
   // Block-rescaling factors between stages (power-of-two shifts).
   const double s_time = fft_spec.rescale;
@@ -301,17 +294,10 @@ void Sim_backend::run_slot_into(const Pipeline& p,
   }
   out.evm = std::sqrt(evm_acc / static_cast<double>(evm_cnt));
 
-  uint64_t nerr = 0, nbits = 0;
   for (uint32_t l = 0; l < cfg.n_ue; ++l) {
     phy::qam_demodulate_into(cfg.qam, eq[l], out.bits[l]);
-    const auto& want = sc.tx_bits(l);
-    PP_CHECK(want.size() == out.bits[l].size(), "payload size mismatch");
-    for (size_t i = 0; i < want.size(); ++i) {
-      nerr += want[i] != out.bits[l][i];
-      ++nbits;
-    }
   }
-  out.ber = static_cast<double>(nerr) / static_cast<double>(nbits);
+  out.ber = phy::payload_ber(sc, out.bits);
 }
 
 }  // namespace pp::runtime

@@ -26,6 +26,7 @@
 #include <vector>
 
 #include "arch/topology.h"
+#include "common/check.h"
 #include "phy/uplink.h"
 #include "runtime/params.h"
 #include "sim/stats.h"
@@ -174,6 +175,14 @@ class Pipeline {
       if (s.role == role) return &s;
     }
     return nullptr;
+  }
+
+  // The stage a backend cannot run without: find(role), aborting with
+  // `what` when it is missing or names no kernel.
+  const Stage_spec& require(Stage_role role, const char* what) const {
+    const Stage_spec* s = find(role);
+    PP_CHECK(s != nullptr && !s->run.kernel.empty(), what);
+    return *s;
   }
 
   // Analytic roll-up: measures each stage once (fresh machine per stage,

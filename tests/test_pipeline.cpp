@@ -1,7 +1,9 @@
 // Pipeline equivalence and backend cross-checks.
 //
-// The pre-refactor entry points (run_use_case / run_sim_uplink) are now thin
-// presets over runtime::Pipeline.  These tests pin the refactor down:
+// The pre-refactor entry points are now runtime::Pipeline calls: run_use_case
+// is a thin preset, and run_sim_uplink became
+// uplink_pipeline(cluster).execute(sc, Sim_backend).  These tests pin the
+// refactor down:
 //
 //  * the use-case roll-up preset reproduces the exact cycle counts of the
 //    same kernel configurations driven directly through their classes (the
@@ -22,7 +24,6 @@
 #include "kernels/gram.h"
 #include "kernels/mmm.h"
 #include "pusch/use_case_rollup.h"
-#include "pusch/uplink_chain.h"
 #include "runtime/backend.h"
 
 namespace {
@@ -191,7 +192,8 @@ TEST(PipelineEquivalence, UplinkPresetMatchesLegacyChainExactly) {
   const auto cluster = arch::Cluster_config::minipool();
 
   const auto legacy = legacy_run_sim_uplink(sc, cluster);
-  const auto ported = pusch::run_sim_uplink(sc, cluster);
+  runtime::Sim_backend sim;
+  const auto ported = runtime::uplink_pipeline(cluster).execute(sc, sim);
 
   ASSERT_EQ(ported.stages.size(), 6u);
   for (size_t i = 0; i < 6; ++i) {

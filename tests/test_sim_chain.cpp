@@ -4,7 +4,8 @@
 #include <gtest/gtest.h>
 
 #include "phy/uplink.h"
-#include "pusch/uplink_chain.h"
+#include "runtime/backend.h"
+#include "runtime/presets.h"
 
 namespace {
 
@@ -28,8 +29,9 @@ phy::Uplink_config small_cfg() {
 
 TEST(SimChain, RecoversPayloadAtHighSnr) {
   const phy::Uplink_scenario sc(small_cfg());
-  const auto res =
-      pusch::run_sim_uplink(sc, arch::Cluster_config::minipool());
+  runtime::Sim_backend sim;
+  const auto res = runtime::uplink_pipeline(arch::Cluster_config::minipool())
+                       .execute(sc, sim);
   EXPECT_EQ(res.ber, 0.0) << "EVM " << res.evm;
   EXPECT_LT(res.evm, 0.25);
   // All six stages executed.
@@ -43,8 +45,9 @@ TEST(SimChain, RecoversPayloadAtHighSnr) {
 TEST(SimChain, AgreesWithGoldenReceiver) {
   const phy::Uplink_scenario sc(small_cfg());
   const auto golden = phy::golden_receive(sc);
-  const auto simres =
-      pusch::run_sim_uplink(sc, arch::Cluster_config::minipool());
+  runtime::Sim_backend sim;
+  const auto simres = runtime::uplink_pipeline(arch::Cluster_config::minipool())
+                       .execute(sc, sim);
   // Same recovered payloads at high SNR.
   for (uint32_t l = 0; l < sc.config().n_ue; ++l) {
     EXPECT_EQ(golden.bits[l], simres.bits[l]) << "UE " << l;
@@ -59,8 +62,9 @@ TEST(SimChain, FrontEndOutweighsEveryTailStage) {
   // not >50% of the slot as in the full use case, but FFT+MMM must still
   // outweigh each estimation/MIMO stage individually.
   const phy::Uplink_scenario sc(small_cfg());
-  const auto res =
-      pusch::run_sim_uplink(sc, arch::Cluster_config::minipool());
+  runtime::Sim_backend sim;
+  const auto res = runtime::uplink_pipeline(arch::Cluster_config::minipool())
+                       .execute(sc, sim);
   const uint64_t fe = res.stages[0].cycles + res.stages[1].cycles;
   for (size_t i = 2; i < res.stages.size(); ++i) {
     EXPECT_GT(fe, res.stages[i].cycles) << res.stages[i].name;
@@ -72,8 +76,9 @@ TEST(SimChain, NoiseEstimateIsSane) {
   cfg.sigma2 = 1e-3;
   cfg.seed = 12;
   const phy::Uplink_scenario sc(cfg);
-  const auto res =
-      pusch::run_sim_uplink(sc, arch::Cluster_config::minipool());
+  runtime::Sim_backend sim;
+  const auto res = runtime::uplink_pipeline(arch::Cluster_config::minipool())
+                       .execute(sc, sim);
   // Within an order of magnitude (quantization adds its own floor).
   EXPECT_GT(res.sigma2_hat, 1e-5);
   EXPECT_LT(res.sigma2_hat, 1e-1);
