@@ -3,10 +3,10 @@
 // (kernel speedups 9a/9b, full use case 9c) on the double-precision host
 // path instead of the simulated cluster.
 //
-// Per-stage rows time the same tiled sub-kernels the backend dispatches
-// (ref::fft_stage_blocks fan-out, ref::matmul_rows, ref::gram_rows,
-// per-UE-batch ref::lmmse) on a common::Thread_pool; the slot row runs the
-// full receive chain through the backend.  Every row of every run is
+// Per-stage rows time the same host models the backend dispatches on a
+// common::Thread_pool: a fan-out of whole ref::fft transforms, row tiles
+// of ref::matmul_rows and ref::gram_rows, per-UE-batch ref::lmmse; the
+// slot row runs the full receive chain through the backend.  Every row of every run is
 // checked bit-identical to the first --workers entry's run before its
 // speedup is reported - the determinism contract of docs/DETERMINISM.md is
 // re-verified on every invocation, not just in the test suite.

@@ -12,7 +12,8 @@
 // --backend picks sim, reference, parallel or fixed (--intra N sets the
 // per-slot worker count of parallel and fixed, composing with the
 // slot-level --workers; reference is parallel at one worker).  List flags
-// take comma-separated values; --snr also accepts lo:hi:step.  Counts
+// take comma-separated values; --snr also accepts lo:hi:step (at most
+// kMaxSnrPoints points, each step advancing at double precision).  Counts
 // (--ue, --rx, --beams) must be >= 1, and --fft, --ue and --snr must lie in
 // the backend's slot domain (bench::check_slot_domain); anything else exits
 // 2 naming the valid range.  Per-slot seeds are
@@ -70,6 +71,18 @@ double parse_double(const char* flag, const std::string& tok) {
   return v;
 }
 
+// Most points one --snr lo:hi:step range may expand to.
+constexpr double kMaxSnrPoints = 1000;
+
+[[noreturn]] void bad_snr_range(const std::string& s, const char* why) {
+  std::fprintf(stderr,
+               "bad range '%s' for --snr (%s; want lo:hi:step with step > 0, "
+               "at most %.0f points, and lo + k*step advancing at double "
+               "precision)\n",
+               s.c_str(), why, kMaxSnrPoints);
+  std::exit(2);
+}
+
 // "a,b,c" or "lo:hi:step" (inclusive of hi, step > 0).
 std::vector<double> parse_snr_list(const std::string& s) {
   std::vector<double> out;
@@ -80,7 +93,14 @@ std::vector<double> parse_snr_list(const std::string& s) {
     const double step =
         parts.size() > 2 ? parse_double("--snr", parts[2]) : 1.0;
     if (step <= 0.0) bad_token("--snr", s);
-    for (double v = lo; v <= hi + 1e-9; v += step) out.push_back(v);
+    if (std::floor((hi - lo) / step) + 1 > kMaxSnrPoints) {
+      bad_snr_range(s, "too many points");
+    }
+    for (double v = lo; v <= hi + 1e-9; v += step) {
+      // A step below half an ulp of v would never reach hi.
+      if (v + step == v) bad_snr_range(s, "step does not advance");
+      out.push_back(v);
+    }
     return out;
   }
   for (const auto& tok : split(s, ',')) {

@@ -26,6 +26,12 @@
 # sim-vs-host Q15 value-chain corner (test_q15_chain) and fixed-backend
 # tests under UndefinedBehaviorSanitizer (the Q15 layer's saturation
 # corners are exactly where signed-overflow UB would hide).
+#
+# CHECK_ASAN=1 additionally builds the simulator edge cases (L1 allocator
+# and address map, which hold a pointer to their cluster config), both
+# intra-slot host backends with their golden-receiver oracle suite, the
+# slot workspaces, the sim-vs-host Q15 value-chain corners and the
+# pipeline parity suite under AddressSanitizer and runs them.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -130,7 +136,8 @@ for bad in "pusch_serve --placement random" "pusch_serve --overload shed" \
            "pusch_sweep --backend sim --fft 32" \
            "pusch_sweep --backend fixed --ue 9 --rx 4" \
            "pusch_sweep --backend sim --ue 5 --rx 4 --beams 4" \
-           "pusch_sweep --snr nan"; do
+           "pusch_sweep --snr nan" "pusch_sweep --snr 0:1e9:0.001" \
+           "pusch_sweep --snr 1e20:1e20:1"; do
   if "$BUILD_DIR"/examples/$bad --slots 1 > /dev/null 2>&1; then
     echo "accepted invalid flag: $bad"
     exit 1
@@ -207,6 +214,20 @@ if [[ "${CHECK_UBSAN:-0}" == "1" ]]; then
   ctest --test-dir "$UBSAN_DIR" --output-on-failure --no-tests=error \
     -j "$JOBS" \
     -R 'Q15|Cq15|Isqrt|Rng|Fft|Mmm|Chol|Trisolve|Che|Ne|Gram|Q15Chain|FixedBackend'
+fi
+
+if [[ "${CHECK_ASAN:-0}" == "1" ]]; then
+  echo "--- opt-in: AddressSanitizer build of the lifetime/workspace tests ---"
+  ASAN_DIR="${BUILD_DIR}-asan"
+  cmake -B "$ASAN_DIR" -S . \
+    -DCMAKE_BUILD_TYPE=RelWithDebInfo \
+    -DCMAKE_CXX_FLAGS="-fsanitize=address -fno-omit-frame-pointer"
+  cmake --build "$ASAN_DIR" -j "$JOBS" \
+    --target test_sim_edge test_backend_fixed test_backend_parallel \
+             test_host_oracle test_workspace test_q15_chain test_pipeline
+  ctest --test-dir "$ASAN_DIR" --output-on-failure --no-tests=error \
+    -j "$JOBS" \
+    -R 'SimEdge|FixedBackend|FixedQ15|ParallelBackend|ThreadPool|HostOracle|Workspace|Q15Chain|BackendCrossCheck|Pipeline'
 fi
 
 echo "check.sh: all green"

@@ -22,9 +22,13 @@ namespace pp::arch {
 
 using addr_t = uint32_t;
 
+// Address_map and L1_alloc keep a pointer to the Cluster_config they are
+// given, so the config must outlive them; binding a temporary is rejected
+// at compile time.
 class Address_map {
  public:
   explicit Address_map(const Cluster_config& cfg) : cfg_(&cfg) {}
+  explicit Address_map(Cluster_config&&) = delete;
 
   bank_id bank_of(addr_t a) const { return a % cfg_->n_banks(); }
   uint32_t row_of(addr_t a) const { return a / cfg_->n_banks(); }
@@ -53,6 +57,7 @@ class Address_map {
 class L1_alloc {
  public:
   explicit L1_alloc(const Cluster_config& cfg) : cfg_(&cfg), map_(cfg) {}
+  explicit L1_alloc(Cluster_config&&) = delete;
 
   // Allocate an interleaved array of n words; returns its base address
   // (always at bank 0 of a fresh row).

@@ -47,16 +47,8 @@ const std::vector<cd>& stage_twiddles(size_t len, bool inverse) {
   });
 }
 
-void fft_inplace(std::vector<cd>& a, bool inverse) {
-  const size_t n = a.size();
-  fft_bit_reverse(a);
-  for (size_t len = 2; len <= n; len <<= 1) {
-    fft_stage_blocks(a, len, inverse, 0, n / len);
-  }
-}
-
-}  // namespace
-
+// Bit-reversal permutation of `a` (power-of-two size), the layout every
+// butterfly stage assumes.
 void fft_bit_reverse(std::vector<cd>& a) {
   const size_t n = a.size();
   PP_CHECK((n & (n - 1)) == 0 && n > 0, "fft size must be a power of two");
@@ -68,11 +60,11 @@ void fft_bit_reverse(std::vector<cd>& a) {
   }
 }
 
-void fft_stage_blocks(std::vector<cd>& a, size_t len, bool inverse,
-                      size_t block_begin, size_t block_end) {
+// One length-`len` butterfly stage over all size(a)/len independent blocks
+// (block i spans a[i*len .. (i+1)*len)).
+void fft_stage_blocks(std::vector<cd>& a, size_t len, bool inverse) {
   const std::vector<cd>& tw = stage_twiddles(len, inverse);
-  for (size_t blk = block_begin; blk < block_end; ++blk) {
-    const size_t i = blk * len;
+  for (size_t i = 0; i < a.size(); i += len) {
     for (size_t j = 0; j < len / 2; ++j) {
       const cd u = a[i + j];
       const cd v = a[i + j + len / 2] * tw[j];
@@ -82,22 +74,32 @@ void fft_stage_blocks(std::vector<cd>& a, size_t len, bool inverse,
   }
 }
 
-void fft_scale(std::vector<cd>& a, size_t begin, size_t end) {
+// The forward FFT's final 1/N normalization.
+void fft_scale(std::vector<cd>& a) {
   const double n = static_cast<double>(a.size());
-  for (size_t i = begin; i < end; ++i) a[i] /= n;
+  for (auto& v : a) v /= n;
 }
+
+void fft_inplace(std::vector<cd>& a, bool inverse) {
+  fft_bit_reverse(a);
+  for (size_t len = 2; len <= a.size(); len <<= 1) {
+    fft_stage_blocks(a, len, inverse);
+  }
+}
+
+}  // namespace
 
 std::vector<cd> fft(const std::vector<cd>& x) {
   std::vector<cd> a = x;
   fft_inplace(a, false);
-  fft_scale(a, 0, a.size());
+  fft_scale(a);
   return a;
 }
 
 void fft_into(const std::vector<cd>& x, std::vector<cd>& y) {
   y.assign(x.begin(), x.end());
   fft_inplace(y, false);
-  fft_scale(y, 0, y.size());
+  fft_scale(y);
 }
 
 std::vector<cd> ifft(const std::vector<cd>& x) {

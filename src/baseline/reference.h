@@ -2,13 +2,15 @@
 // kernels and the PHY chain: DFT, matrix multiply, Cholesky decomposition,
 // triangular solves and the LMMSE equalizer.
 //
-// Each model is built from deterministic *tiled sub-kernels* (declared
-// below): a whole-problem call is exactly the full-range tile, and a tile's
-// arithmetic depends only on the tile bounds and the input data - never on
-// which thread runs it or in what order disjoint tiles complete.  That is
-// the contract runtime::Parallel_backend relies on to split the host chain
-// across workers while staying bit-identical to the serial path (the same
-// decomposition the paper applies to the fixed-point kernels in §IV).
+// The matrix models are built from deterministic *tiled sub-kernels*
+// (declared below): a whole-problem call is exactly the full-range tile,
+// and a tile's arithmetic depends only on the tile bounds and the input
+// data - never on which thread runs it or in what order disjoint tiles
+// complete.  That is the contract runtime::Parallel_backend relies on to
+// split the host chain across workers while staying bit-identical to the
+// serial path (the same decomposition the paper applies to the fixed-point
+// kernels in §IV).  Transforms are not tiled: the backend hands each worker
+// whole fft_into() calls.
 #ifndef PUSCHPOOL_BASELINE_REFERENCE_H
 #define PUSCHPOOL_BASELINE_REFERENCE_H
 
@@ -99,26 +101,10 @@ void lmmse_into(std::span<const cd> h, std::span<const cd> y, size_t m,
 
 // ---- tiled sub-kernels ----------------------------------------------------
 //
-// The work-splitting surface: fft() is bit-reverse + one fft_stage_blocks()
-// sweep per butterfly stage + fft_scale(); matmul()/gram() are the full row
-// range of matmul_rows()/gram_rows().  Tiles write disjoint outputs, so any
+// The work-splitting surface: matmul()/gram() are the full row range of
+// matmul_rows()/gram_rows().  Tiles write disjoint outputs, so any
 // partition of the index space - including a multi-threaded one - produces
 // bits identical to the monolithic call.
-
-// Bit-reversal permutation of `a` (power-of-two size), the layout every
-// butterfly stage assumes.
-void fft_bit_reverse(std::vector<cd>& a);
-
-// One length-`len` butterfly stage over blocks [block_begin, block_end) of
-// the size(a)/len independent blocks (block i spans a[i*len .. (i+1)*len)).
-// Stages must run in increasing `len` order with all blocks of a stage
-// complete before the next stage starts - the barrier point of a
-// cooperative multi-worker FFT.
-void fft_stage_blocks(std::vector<cd>& a, size_t len, bool inverse,
-                      size_t block_begin, size_t block_end);
-
-// The forward FFT's final 1/N normalization over elements [begin, end).
-void fft_scale(std::vector<cd>& a, size_t begin, size_t end);
 
 // Rows [row_begin, row_end) of C = A * B (shapes as in matmul()).  C must
 // be pre-sized to m*p; a tile only writes its own rows.  Spans, so tiles

@@ -65,14 +65,15 @@ inline void butterfly_scalar(const Fft_plan& plan, uint32_t k, cq15* buf,
   }
 }
 
-}  // namespace
-
+// One in-place stage k over all n/4 butterflies; the final stage writes
+// into `out` instead of back into `buf`.
 void fft_stage(const Fft_plan& plan, uint32_t k, cq15* buf, cq15* out,
-               uint32_t g_begin, uint32_t g_end, bool simd) {
+               bool simd) {
   const kernels::Fft_geom& geom = plan.geom;
   const bool last = k + 1 == geom.stages;
   const uint32_t d = geom.d(k);
-  uint32_t g = g_begin;
+  const uint32_t g_end = geom.n / 4;
+  uint32_t g = 0;
   while (g < g_end) {
     // Butterflies of one d-group are contiguous in memory: for g = G*d + t,
     // port j sits at (G*4d + t) + j*d, consecutive in t.  Vectorize each
@@ -93,9 +94,11 @@ void fft_stage(const Fft_plan& plan, uint32_t k, cq15* buf, cq15* out,
   }
 }
 
+}  // namespace
+
 void fft_transform(const Fft_plan& plan, cq15* buf, cq15* out, bool simd) {
   for (uint32_t k = 0; k < plan.geom.stages; ++k) {
-    fft_stage(plan, k, buf, out, 0, plan.geom.n / 4, simd);
+    fft_stage(plan, k, buf, out, simd);
   }
 }
 

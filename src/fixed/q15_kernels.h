@@ -48,16 +48,9 @@ struct Fft_plan {
 // lifetime (same contract as common::twiddle_q15).
 const Fft_plan& fft_plan(uint32_t n);
 
-// One in-place stage over butterflies [g_begin, g_end): the radix-4 DIF
-// butterfly (common::radix4_dif, then common::radix4_twiddle on outputs
-// 1..3).  The final stage writes digit-reversed into
-// `out` instead of back into `buf`.  Butterflies of one stage touch disjoint
-// elements, so disjoint ranges may run concurrently; a barrier is required
-// between stages.
-void fft_stage(const Fft_plan& plan, uint32_t k, cq15* buf, cq15* out,
-               uint32_t g_begin, uint32_t g_end, bool simd);
-
-// Full transform: clobbers `buf` (the caller's scratch) and writes the
+// Full transform, stage by stage through the radix-4 DIF butterfly
+// (common::radix4_dif, then common::radix4_twiddle on outputs 1..3):
+// clobbers `buf` (the caller's scratch) and the final stage writes the
 // digit-reversed result to `out`.
 void fft_transform(const Fft_plan& plan, cq15* buf, cq15* out, bool simd);
 

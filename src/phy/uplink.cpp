@@ -196,7 +196,7 @@ const std::vector<cd>& Uplink_scenario::pilot_obs_beam(uint32_t l) const {
   return pilot_obs_[l];
 }
 
-void gather_subcarrier_rows(const std::vector<std::vector<cd>>& freq,
+void gather_subcarrier_rows(std::span<const std::vector<cd>> freq,
                             std::vector<cd>& ft, uint32_t n_rx,
                             size_t row_begin, size_t row_end) {
   for (size_t scx = row_begin; scx < row_end; ++scx) {

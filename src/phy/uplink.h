@@ -10,6 +10,7 @@
 #ifndef PUSCHPOOL_PHY_UPLINK_H
 #define PUSCHPOOL_PHY_UPLINK_H
 
+#include <span>
 #include <vector>
 
 #include "baseline/reference.h"
@@ -223,9 +224,10 @@ double golden_channel_mse(const Uplink_scenario& sc,
 // serial receiver.
 
 // Transpose gather feeding the beamforming MMM: rows [row_begin, row_end)
-// of the (n_sc x n_rx) matrix ft, ft[scx*n_rx + r] = freq[r][scx].  Pair
-// with ref::matmul_rows(ft, codebook, beams, ...) over the same rows.
-void gather_subcarrier_rows(const std::vector<std::vector<cd>>& freq,
+// of the (n_sc x n_rx) matrix ft, ft[scx*n_rx + r] = freq[r][scx], from one
+// symbol's n_rx antenna spectra.  Pair with ref::matmul_rows(ft, codebook,
+// beams, ...) over the same rows.
+void gather_subcarrier_rows(std::span<const std::vector<cd>> freq,
                             std::vector<cd>& ft, uint32_t n_rx,
                             size_t row_begin, size_t row_end);
 

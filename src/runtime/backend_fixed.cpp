@@ -13,7 +13,6 @@
 // All marshaling staging lives in the backend's slot workspaces
 // (grow-then-stabilize): after the first slot of a shape, a run allocates
 // nothing - the serving benches gate that under PP_COUNT_ALLOCS.
-#include <algorithm>
 #include <cmath>
 
 #include "common/check.h"
@@ -69,91 +68,52 @@ void Fixed_backend::run_front_into(const Pipeline& p,
 
   const uint64_t n_fft = static_cast<uint64_t>(cfg.n_symb) * cfg.n_rx;
   common::Counting_barrier bar(workers);
+  pool_.run([&](uint32_t w) {
+    Worker_ws& ws = fft_ws_[w];
+    common::ws_grow(ws.buf, n);
+    common::ws_grow(ws.fout, n);
+    common::ws_grow(ws.aq, cfg.n_rx);
+    common::ws_grow(ws.crow, cfg.n_beams);
 
-  // Beamforming rows: one (symbol, sub-carrier) output row of the MMM per
-  // item - gather the quantized sub-carrier row, exact MAC against the
-  // codebook, dequantize.  Element-for-element the arithmetic of the sim
-  // backend's whole-matrix quantize -> MMM -> dequantize sequence.
-  auto mmm_rows_phase = [&](uint32_t w) {
-    std::vector<cq15>& aq = fft_ws_[w].aq;
-    std::vector<cq15>& crow = fft_ws_[w].crow;
-    common::ws_grow(aq, cfg.n_rx);
-    common::ws_grow(crow, cfg.n_beams);
+    // OFDM FFT: whole (symbol, antenna) transforms, statically sliced.
+    const auto [f0, f1] = Thread_pool::slice(n_fft, w, workers);
+    for (uint64_t t = f0; t < f1; ++t) {
+      const uint32_t s = static_cast<uint32_t>(t / cfg.n_rx);
+      const uint32_t r = static_cast<uint32_t>(t % cfg.n_rx);
+      const auto& x = sc.antenna_time(s, r);
+      for (uint32_t i = 0; i < n; ++i) {
+        ws.buf[i] = common::to_cq15(x[i] * s_time);
+      }
+      fixed::fft_transform(plan, ws.buf.data(), ws.fout.data(), simd);
+      std::span<cd> frow = freq_.row(t);
+      for (uint32_t i = 0; i < n; ++i) {
+        frow[i] = common::to_cd(ws.fout[i]) / ds;
+      }
+    }
+    bar.arrive_and_wait();
+
+    // Beamforming: one (symbol, sub-carrier) output row of the MMM per
+    // item - gather the quantized sub-carrier row, exact MAC against the
+    // codebook, dequantize.  Element-for-element the arithmetic of the sim
+    // backend's whole-matrix quantize -> MMM -> dequantize sequence.
     const auto [r0, r1] =
         Thread_pool::slice(static_cast<uint64_t>(cfg.n_symb) * n, w, workers);
     for (uint64_t item = r0; item < r1; ++item) {
       const uint32_t s = static_cast<uint32_t>(item / n);
       const uint32_t scx = static_cast<uint32_t>(item % n);
       for (uint32_t r = 0; r < cfg.n_rx; ++r) {
-        aq[r] = common::to_cq15(
+        ws.aq[r] = common::to_cq15(
             freq_.at(static_cast<size_t>(s) * cfg.n_rx + r, scx) * s_grid);
       }
-      fixed::mmm_rows(aq.data(), bq_.data(), crow.data(), cfg.n_rx,
+      fixed::mmm_rows(ws.aq.data(), bq_.data(), ws.crow.data(), cfg.n_rx,
                       cfg.n_beams, 0, 1);
       std::span<cd> brow = beams.row(s);
       for (uint32_t q = 0; q < cfg.n_beams; ++q) {
         brow[static_cast<size_t>(scx) * cfg.n_beams + q] =
-            common::to_cd(crow[q]) / s_grid;
+            common::to_cd(ws.crow[q]) / s_grid;
       }
     }
-  };
-
-  if (n_fft >= workers) {
-    // Enough transforms to hand each worker its own.
-    pool_.run([&](uint32_t w) {
-      std::vector<cq15>& buf = fft_ws_[w].buf;
-      std::vector<cq15>& fout = fft_ws_[w].fout;
-      common::ws_grow(buf, n);
-      common::ws_grow(fout, n);
-      const auto [f0, f1] = Thread_pool::slice(n_fft, w, workers);
-      for (uint64_t t = f0; t < f1; ++t) {
-        const uint32_t s = static_cast<uint32_t>(t / cfg.n_rx);
-        const uint32_t r = static_cast<uint32_t>(t % cfg.n_rx);
-        const auto& x = sc.antenna_time(s, r);
-        for (uint32_t i = 0; i < n; ++i) {
-          buf[i] = common::to_cq15(x[i] * s_time);
-        }
-        fixed::fft_transform(plan, buf.data(), fout.data(), simd);
-        std::span<cd> frow = freq_.row(t);
-        for (uint32_t i = 0; i < n; ++i) {
-          frow[i] = common::to_cd(fout[i]) / ds;
-        }
-      }
-      bar.arrive_and_wait();
-      mmm_rows_phase(w);
-    });
-  } else {
-    // Cooperative FFT: every transform is tiled across all workers,
-    // butterfly ranges per stage with a barrier in between (each stage's
-    // butterflies touch disjoint elements).
-    common::ws_grow(coop_buf_, n);
-    common::ws_grow(coop_fout_, n);
-    pool_.run([&](uint32_t w) {
-      const auto [e0, e1] = Thread_pool::slice(n, w, workers);
-      const auto [g0, g1] = Thread_pool::slice(n / 4, w, workers);
-      for (uint64_t t = 0; t < n_fft; ++t) {
-        const uint32_t s = static_cast<uint32_t>(t / cfg.n_rx);
-        const uint32_t r = static_cast<uint32_t>(t % cfg.n_rx);
-        const auto& x = sc.antenna_time(s, r);
-        for (uint64_t i = e0; i < e1; ++i) {
-          coop_buf_[i] = common::to_cq15(x[i] * s_time);
-        }
-        bar.arrive_and_wait();
-        for (uint32_t k = 0; k < plan.geom.stages; ++k) {
-          fixed::fft_stage(plan, k, coop_buf_.data(), coop_fout_.data(),
-                           static_cast<uint32_t>(g0),
-                           static_cast<uint32_t>(g1), simd);
-          bar.arrive_and_wait();
-        }
-        std::span<cd> frow = freq_.row(t);
-        for (uint64_t i = e0; i < e1; ++i) {
-          frow[i] = common::to_cd(coop_fout_[i]) / ds;
-        }
-        bar.arrive_and_wait();  // buf/fout are reused by the next transform
-      }
-      mmm_rows_phase(w);
-    });
-  }
+  });
 }
 
 void Fixed_backend::run_back_into(const Pipeline& p,
@@ -170,8 +130,7 @@ void Fixed_backend::run_back_into(const Pipeline& p,
       p.require(Stage_role::ne, "pipeline needs an ne stage");
   const Stage_spec& gram_spec =
       p.require(Stage_role::gram, "pipeline needs a gram stage");
-  const Stage_spec& mimo_spec =
-      p.require(Stage_role::mimo_solve, "pipeline needs a mimo_solve stage");
+  p.require(Stage_role::mimo_solve, "pipeline needs a mimo_solve stage");
   const double s_che = che_spec.rescale;
   const double s_est = ne_spec.rescale;
   const double s_rhs = gram_spec.rescale;
@@ -224,70 +183,55 @@ void Fixed_backend::run_back_into(const Pipeline& p,
   const double sigma2_hat = common::ne_sigma2(raw, n, n_b) / (s_est * s_est);
   out.sigma2_hat = sigma2_hat;
 
-  // ---- MIMO per data symbol: G = H^H H + sigma2 I, Cholesky, solves ----
+  // ---- MIMO per (data symbol, sub-carrier): G = H^H H + sigma2 I,
+  // Cholesky, solves ------------------------------------------------------
+  // Each item is one independent problem: quantize its beam row, Gramian +
+  // matched filter, Cholesky + both substitutions, dequantize.  The sim
+  // backend quantizes whole symbols per launch batch; the values are the
+  // same element for element, so the launch grouping (symb_batch) only
+  // shows in stages[].runs (mirror_sim_stage_runs above).
   quantize_into(h_hat_, 1.0, gh_q_);
   const cq15 sigma{common::to_q15(sigma2_hat), 0};
-  const uint32_t batch = mimo_spec.run.params.getu("symb_batch", 1);
   const uint32_t n_data = cfg.n_symb - cfg.n_pilot_symb;
+  const uint64_t n_items = static_cast<uint64_t>(n_data) * n;
   out.bits.resize(n_l);
   out.symbols.resize(n_l);  // equalized symbols, indexed (data symbol, sc)
-  for (auto& eq : out.symbols) {
-    common::ws_grow(eq, static_cast<size_t>(n_data) * n);
-  }
-  double evm_acc = 0.0;
-  uint64_t evm_cnt = 0;
-
-  if (y_q_.size() < batch) y_q_.resize(batch);  // grow-only outers
-  if (g_syms_.size() < batch) g_syms_.resize(batch);
-  if (rhs_syms_.size() < batch) rhs_syms_.resize(batch);
-  common::ws_grow(xs_, static_cast<size_t>(batch) * n * n_l);
-  for (uint32_t s0 = cfg.n_pilot_symb; s0 < cfg.n_symb; s0 += batch) {
-    for (uint32_t b = 0; b < batch; ++b) {
-      quantize_into(beams.row(s0 + b), s_rhs, y_q_[b]);
-      common::ws_grow(g_syms_[b], static_cast<size_t>(n) * n_l * n_l);
-      std::fill(g_syms_[b].begin(), g_syms_[b].end(), cq15{});
-      common::ws_grow(rhs_syms_[b], static_cast<size_t>(n) * n_l);
-      std::fill(rhs_syms_[b].begin(), rhs_syms_[b].end(), cq15{});
-    }
-    // One (symbol-in-batch, sub-carrier) problem per item: Gramian +
-    // matched filter, then Cholesky + both substitutions.  Items are
-    // independent, so no barrier is needed between the two steps.
-    pool_.parallel_for(
-        static_cast<uint64_t>(batch) * n, [&](uint64_t item) {
-          const uint32_t b = static_cast<uint32_t>(item / n);
-          const uint32_t scx = static_cast<uint32_t>(item % n);
-          fixed::gram_subcarriers(gh_q_.data(), y_q_[b].data(), sigma,
-                                  g_syms_[b].data(), rhs_syms_[b].data(), n_b,
-                                  n_l, scx, scx + 1);
-          cq15 lmat[common::max_layers * common::max_layers];
-          fixed::cholesky(
-              g_syms_[b].data() + static_cast<size_t>(scx) * n_l * n_l, lmat,
-              n_l);
-          fixed::trisolve(lmat,
-                          rhs_syms_[b].data() + static_cast<size_t>(scx) * n_l,
-                          xs_.data() + item * n_l, n_l);
-        });
-
-    // Serial epilogue in the sim backend's exact loop order (the EVM sum
-    // is a float reduction; order is part of the contract).  Equalized
-    // symbols land at their (data symbol, sub-carrier) index.
-    for (uint32_t b = 0; b < batch; ++b) {
-      const uint32_t s = s0 + b;
-      for (uint32_t scx = 0; scx < n; ++scx) {
-        dequantize_into(xs_.data() + (static_cast<size_t>(b) * n + scx) * n_l,
-                        n_l, s_rhs, x_);
-        const size_t idx = static_cast<size_t>(s - cfg.n_pilot_symb) * n + scx;
-        for (uint32_t l = 0; l < n_l; ++l) {
-          const cd sym = x_[l] / cfg.ue_power;
-          out.symbols[l][idx] = sym;
-          const cd want = sc.tx_grid(l, s)[scx] / cfg.ue_power;
-          evm_acc += std::norm(sym - want);
-          ++evm_cnt;
-        }
+  for (auto& eq : out.symbols) common::ws_grow(eq, n_items);
+  pool_.run([&](uint32_t w) {
+    std::vector<cq15>& yq = fft_ws_[w].aq;
+    const auto [i0, i1] = Thread_pool::slice(n_items, w, workers);
+    for (uint64_t item = i0; item < i1; ++item) {
+      const uint32_t s = cfg.n_pilot_symb + static_cast<uint32_t>(item / n);
+      const uint32_t scx = static_cast<uint32_t>(item % n);
+      quantize_into(beams.row(s).subspan(static_cast<size_t>(scx) * n_b, n_b),
+                    s_rhs, yq);
+      cq15 g[common::max_layers * common::max_layers];
+      cq15 lmat[common::max_layers * common::max_layers];
+      cq15 rhs[common::max_layers];
+      cq15 x[common::max_layers];
+      fixed::gram_subcarriers(
+          gh_q_.data() + static_cast<size_t>(scx) * n_b * n_l, yq.data(),
+          sigma, g, rhs, n_b, n_l, 0, 1);
+      fixed::cholesky(g, lmat, n_l);
+      fixed::trisolve(lmat, rhs, x, n_l);
+      for (uint32_t l = 0; l < n_l; ++l) {
+        out.symbols[l][item] = common::to_cd(x[l]) / s_rhs / cfg.ue_power;
       }
     }
+  });
+
+  // Serial EVM in the sim backend's exact loop order (symbol, sub-carrier,
+  // UE): the sum is a float reduction, so its order is part of the contract.
+  double evm_acc = 0.0;
+  for (uint64_t item = 0; item < n_items; ++item) {
+    const uint32_t s = cfg.n_pilot_symb + static_cast<uint32_t>(item / n);
+    const uint32_t scx = static_cast<uint32_t>(item % n);
+    for (uint32_t l = 0; l < n_l; ++l) {
+      const cd want = sc.tx_grid(l, s)[scx] / cfg.ue_power;
+      evm_acc += std::norm(out.symbols[l][item] - want);
+    }
   }
-  out.evm = std::sqrt(evm_acc / static_cast<double>(evm_cnt));
+  out.evm = std::sqrt(evm_acc / static_cast<double>(n_items * n_l));
 
   for (uint32_t l = 0; l < n_l; ++l) {
     phy::qam_demodulate_into(cfg.qam, out.symbols[l], out.bits[l]);
@@ -297,18 +241,14 @@ void Fixed_backend::run_back_into(const Pipeline& p,
 
 size_t Fixed_backend::workspace_bytes() const {
   size_t b = Backend::workspace_bytes() +
-             (coop_buf_.capacity() + coop_fout_.capacity() + bq_.capacity() +
-              h_q_.capacity() + y_est_.capacity() + h_est_.capacity() +
-              gh_q_.capacity() + xs_.capacity()) *
+             (bq_.capacity() + h_q_.capacity() + y_est_.capacity() +
+              h_est_.capacity() + gh_q_.capacity()) *
                  sizeof(cq15) +
-             freq_.footprint_bytes() +
-             (h_hat_.capacity() + x_.capacity()) * sizeof(cd) +
+             freq_.footprint_bytes() + h_hat_.capacity() * sizeof(cd) +
              contribs_.capacity() * sizeof(uint32_t);
   for (const auto& ws : fft_ws_) b += ws.footprint_bytes();
   b += common::ws_rows_footprint(pilots_q_) +
-       common::ws_rows_footprint(y_sep_q_) + common::ws_rows_footprint(y_q_) +
-       common::ws_rows_footprint(g_syms_) +
-       common::ws_rows_footprint(rhs_syms_);
+       common::ws_rows_footprint(y_sep_q_);
   return b;
 }
 

@@ -12,20 +12,21 @@
 // sigma2_hat - an exact cross-check where the double-precision backends
 // only offer tolerances.
 //
-// Parallel structure (common::Thread_pool, like Parallel_backend):
+// Parallel structure (common::Thread_pool, like Parallel_backend): each
+// stage is one static slice (Thread_pool::slice) of its whole-slot item
+// space.
 //
-//   OFDM FFT     per-(symbol, antenna) transforms; with fewer transforms
-//                than workers each FFT is computed cooperatively, butterfly
-//                ranges tiled per stage with a Counting_barrier
-//   beamforming  per-(symbol, sub-carrier) output rows of the MMM
+//   OFDM FFT     per-(symbol, antenna) transforms
+//   beamforming  per-(symbol, sub-carrier) output rows of the MMM, in the
+//                FFT's pool dispatch after a Counting_barrier
 //   CHE          per-sub-carrier estimate rows
 //   NE           one Q2.30 partial per *simulated core block* (the sim's
 //                uint32 fold is partition-dependent, so the simulated
 //                partition is replayed no matter the worker count), folded
 //                serially in block order
-//   LMMSE MIMO   per-sub-carrier Gramians, per-(symbol, sub-carrier)
-//                Cholesky + substitutions; EVM/BER epilogue serial in slot
-//                order
+//   LMMSE MIMO   per-(data symbol, sub-carrier) problems: quantized beam
+//                row, Gramian, Cholesky + substitutions; EVM/BER epilogue
+//                serial in slot order
 //
 // Every parallel tile performs exact integer arithmetic on disjoint
 // outputs, so the result is independent of the worker count - pinned at
@@ -66,9 +67,11 @@ class Fixed_backend final : public Backend {
   common::Thread_pool pool_;
   bool simd_;
 
-  // Per-worker marshaling scratch (FFT staging buffers + one quantized MMM
-  // input/output row); workers touch only their own entry inside a
-  // dispatch, so no synchronization beyond the pool's join is needed.
+  // Per-worker marshaling scratch (FFT staging buffers, one quantized
+  // input row - an MMM row in the front half, an item's beam row in the
+  // back half - and one MMM output row); workers touch only their own
+  // entry inside a dispatch, so no synchronization beyond the pool's join
+  // is needed.
   struct Worker_ws {
     std::vector<common::cq15> buf, fout, aq, crow;
     size_t footprint_bytes() const {
@@ -78,22 +81,19 @@ class Fixed_backend final : public Backend {
     }
   };
 
-  // Slot workspaces (grow-then-stabilize; every reused element either fully
-  // overwritten per slot or explicitly cleared before the kernels run).
+  // Slot workspaces (grow-then-stabilize; every reused element fully
+  // overwritten per slot before the kernels read it).
   std::vector<Worker_ws> fft_ws_;            // one per worker
-  std::vector<common::cq15> coop_buf_, coop_fout_;  // cooperative-FFT shared
   std::vector<common::cq15> bq_;             // quantized codebook
   common::Ws_grid<phy::cd> freq_;            // [symb * rx][sc] spectra
-  // Back half: CHE inputs/outputs, NE operands, MIMO batch staging.
+  // Back half: CHE inputs/outputs, NE operands, quantized channel for the
+  // MIMO items.
   std::vector<std::vector<common::cq15>> pilots_q_, y_sep_q_;  // grow-only
   std::vector<common::cq15> h_q_;
   std::vector<phy::cd> h_hat_;
   std::vector<common::cq15> y_est_, h_est_;
   std::vector<uint32_t> contribs_;
   std::vector<common::cq15> gh_q_;
-  std::vector<std::vector<common::cq15>> y_q_, g_syms_, rhs_syms_;  // per batch
-  std::vector<common::cq15> xs_;
-  std::vector<phy::cd> x_;  // epilogue per-sub-carrier dequantize
 };
 
 }  // namespace pp::runtime

@@ -26,133 +26,6 @@ namespace {
 using phy::cd;
 using common::Thread_pool;
 
-// OFDM FFT of one symbol: the symbol's n_rx antenna transforms, each
-// reproducing ref::fft() + the sqrt(N) compensation of the 1/sqrt(N)
-// transmit normalization exactly (scale by 1/N, then by sqrt(N), as two
-// operations).  `freq` is reused across symbols, so the backend holds one
-// symbol's spectra at a time - the serial receiver's footprint.
-void run_fft_symbol(Thread_pool& pool, const phy::Uplink_scenario& sc,
-                    uint32_t s, std::vector<std::vector<cd>>& freq) {
-  const auto& cfg = sc.config();
-  const double fft_comp = std::sqrt(static_cast<double>(cfg.fft_size));
-  const size_t nfft = cfg.fft_size;
-  const uint32_t workers = pool.workers();
-
-  if (cfg.n_rx >= workers) {
-    // Per-antenna fan-out: each worker owns whole transforms, running the
-    // exact serial-receiver sequence (ref::fft_into reusing the row's
-    // capacity, then the compensation multiply).
-    pool.run([&](uint32_t w) {
-      const auto [first, last] = Thread_pool::slice(cfg.n_rx, w, workers);
-      for (uint64_t r = first; r < last; ++r) {
-        std::vector<cd>& a = freq[r];
-        ref::fft_into(sc.antenna_time(s, static_cast<uint32_t>(r)), a);
-        for (auto& v : a) v *= fft_comp;
-      }
-    });
-    return;
-  }
-
-  // Fewer antennas than workers (few large FFTs): compute each transform
-  // cooperatively - butterfly blocks of one stage tiled across all workers,
-  // a barrier between stages (the paper's FFT mapping).
-  common::Counting_barrier barrier(workers);
-  for (uint32_t r = 0; r < cfg.n_rx; ++r) {
-    std::vector<cd>& a = freq[r];
-    a = sc.antenna_time(s, r);
-    ref::fft_bit_reverse(a);
-    pool.run([&](uint32_t w) {
-      for (size_t len = 2; len <= nfft; len <<= 1) {
-        const auto [first, last] = Thread_pool::slice(nfft / len, w, workers);
-        ref::fft_stage_blocks(a, len, false, first, last);
-        barrier.arrive_and_wait();
-      }
-      const auto [first, last] = Thread_pool::slice(nfft, w, workers);
-      ref::fft_scale(a, first, last);
-      for (size_t j = first; j < last; ++j) a[j] *= fft_comp;
-    });
-  }
-}
-
-// Beamforming of one symbol: the matched-filter MMM beams = F^T * B,
-// row-block tiled over sub-carriers.  The transpose gather is pure data
-// movement; the arithmetic lives in ref::matmul_rows, whose per-row
-// accumulation order matches the serial receiver's antenna loop.  `ft` is
-// a shared scratch reused across symbols: within a dispatch each worker
-// reads only the rows it wrote itself, and run() joins before the next
-// symbol reuses the buffer.
-void run_beamform_symbol(Thread_pool& pool, const phy::Uplink_scenario& sc,
-                         const std::vector<std::vector<cd>>& freq,
-                         std::vector<cd>& ft, std::span<cd> beams_s) {
-  const auto& cfg = sc.config();
-  const uint32_t workers = pool.workers();
-  pool.run([&](uint32_t w) {
-    const auto [first, last] = Thread_pool::slice(cfg.n_sc, w, workers);
-    phy::gather_subcarrier_rows(freq, ft, cfg.n_rx, first, last);
-    ref::matmul_rows(ft, sc.codebook(), beams_s, cfg.n_sc, cfg.n_rx,
-                     cfg.n_beams, first, last);
-  });
-}
-
-// Channel-estimation stage: per-(UE, sub-carrier) row tiles of
-// phy::che_rows (every row of h_hat is written, so the reused buffer
-// needs no clearing).
-void run_che_stage(Thread_pool& pool, const phy::Uplink_scenario& sc,
-                   std::vector<cd>& h_hat) {
-  const auto& cfg = sc.config();
-  common::ws_grow(h_hat,
-                  static_cast<size_t>(cfg.n_sc) * cfg.n_beams * cfg.n_ue);
-
-  const uint64_t n_rows = static_cast<uint64_t>(cfg.n_ue) * cfg.n_sc;
-  pool.run([&](uint32_t w) {
-    const auto [first, last] = Thread_pool::slice(n_rows, w, pool.workers());
-    phy::che_rows(sc, h_hat, first, last);
-  });
-}
-
-// Noise-estimation stage: per-cell pilot residuals (phy::ne_terms) computed
-// in parallel, summed serially in (symbol, sub-carrier, beam) order so the
-// estimate is bit-identical to the serial accumulation.
-double run_ne_stage(Thread_pool& pool, const phy::Uplink_scenario& sc,
-                    const common::Ws_grid<cd>& beams,
-                    const std::vector<cd>& h_hat,
-                    std::vector<double>& terms) {
-  const auto& cfg = sc.config();
-  const uint64_t n_items = static_cast<uint64_t>(cfg.n_pilot_symb) * cfg.n_sc;
-  common::ws_grow(terms, n_items * cfg.n_beams);
-  pool.run([&](uint32_t w) {
-    const auto [first, last] = Thread_pool::slice(n_items, w, pool.workers());
-    phy::ne_terms(sc, beams, h_hat, terms, first, last);
-  });
-  return phy::mean_of_terms(terms);
-}
-
-// MIMO stage: per-UE-batch LMMSE - each (data symbol, sub-carrier) item is
-// one Gram + Cholesky + forward/backward substitution problem
-// (phy::mimo_items -> ref::lmmse_into on the worker's private Mimo_ws),
-// items statically sliced across workers.  Equalized symbols land at their
-// slot index; the EVM reduction happens serially afterwards.
-void run_mimo_stage(Thread_pool& pool, const phy::Uplink_scenario& sc,
-                    const common::Ws_grid<cd>& beams,
-                    const std::vector<cd>& h_hat, double sigma2_hat,
-                    std::vector<std::vector<cd>>& symbols,
-                    std::vector<double>& evm_terms,
-                    std::vector<phy::Mimo_ws>& mimo_ws) {
-  const auto& cfg = sc.config();
-  const uint32_t n_data = cfg.n_symb - cfg.n_pilot_symb;
-  const uint64_t n_items = static_cast<uint64_t>(n_data) * cfg.n_sc;
-
-  symbols.resize(cfg.n_ue);
-  for (auto& s : symbols) common::ws_grow(s, n_items);
-  common::ws_grow(evm_terms, n_items * cfg.n_ue);
-
-  pool.run([&](uint32_t w) {
-    const auto [first, last] = Thread_pool::slice(n_items, w, pool.workers());
-    phy::mimo_items(sc, beams, h_hat, sigma2_hat, symbols, evm_terms,
-                    mimo_ws[w], first, last);
-  });
-}
-
 }  // namespace
 
 void Parallel_backend::run_front_into(const Pipeline&,
@@ -160,18 +33,46 @@ void Parallel_backend::run_front_into(const Pipeline&,
                                       Slot_front& out) {
   const auto& cfg = sc.config();
   common::Ws_grid<cd>& beams = out.beams;
+  const double fft_comp = std::sqrt(static_cast<double>(cfg.fft_size));
+  const uint32_t workers = pool_.workers();
 
-  // 1) OFDM demodulation + 2) beamforming, fused per symbol (the serial
-  // receiver's memory footprint: one symbol's spectra live at a time).
-  // Every beam row is fully written by matmul_rows over the workers'
-  // disjoint row tiles.
+  // 1) OFDM demodulation + 2) beamforming in one dispatch.  Spectra land in
+  // one row per (symbol, antenna), s * n_rx + r; every beam row is fully
+  // written by matmul_rows over the workers' disjoint row tiles.
+  const uint64_t n_fft = static_cast<uint64_t>(cfg.n_symb) * cfg.n_rx;
   beams.shape(cfg.n_symb, static_cast<size_t>(cfg.n_sc) * cfg.n_beams);
-  if (freq_.size() < cfg.n_rx) freq_.resize(cfg.n_rx);
+  if (freq_.size() < n_fft) freq_.resize(n_fft);
   common::ws_grow(ft_, static_cast<size_t>(cfg.n_sc) * cfg.n_rx);
-  for (uint32_t s = 0; s < cfg.n_symb; ++s) {
-    run_fft_symbol(pool_, sc, s, freq_);
-    run_beamform_symbol(pool_, sc, freq_, ft_, beams.row(s));
-  }
+  common::Counting_barrier bar(workers);
+  pool_.run([&](uint32_t w) {
+    // Whole transforms per worker, each the serial receiver's exact
+    // sequence: ref::fft_into reusing the row's capacity, then the sqrt(N)
+    // compensation of the 1/sqrt(N) transmit normalization.
+    const auto [f0, f1] = Thread_pool::slice(n_fft, w, workers);
+    for (uint64_t t = f0; t < f1; ++t) {
+      std::vector<cd>& a = freq_[t];
+      ref::fft_into(sc.antenna_time(static_cast<uint32_t>(t / cfg.n_rx),
+                                    static_cast<uint32_t>(t % cfg.n_rx)),
+                    a);
+      for (auto& v : a) v *= fft_comp;
+    }
+    bar.arrive_and_wait();
+
+    // Matched-filter MMM beams = F^T * B per symbol over the worker's
+    // sub-carrier rows.  The transpose gather is pure data movement; the
+    // arithmetic lives in ref::matmul_rows, whose per-row accumulation
+    // order matches the serial receiver's antenna loop.  `ft_` is shared,
+    // but each worker reads back only the rows it wrote itself.
+    const auto [r0, r1] = Thread_pool::slice(cfg.n_sc, w, workers);
+    const std::span<const std::vector<cd>> spectra(freq_);
+    for (uint32_t s = 0; s < cfg.n_symb; ++s) {
+      phy::gather_subcarrier_rows(
+          spectra.subspan(static_cast<size_t>(s) * cfg.n_rx, cfg.n_rx), ft_,
+          cfg.n_rx, r0, r1);
+      ref::matmul_rows(ft_, sc.codebook(), beams.row(s), cfg.n_sc, cfg.n_rx,
+                       cfg.n_beams, r0, r1);
+    }
+  });
 }
 
 void Parallel_backend::run_back_into(const Pipeline& p,
@@ -180,15 +81,45 @@ void Parallel_backend::run_back_into(const Pipeline& p,
                                      Slot_result& out) {
   const auto& cfg = sc.config();
   const common::Ws_grid<cd>& beams = front.beams;
+  const uint32_t workers = pool_.workers();
 
-  // 3) Channel estimation + 4) noise estimation.
-  run_che_stage(pool_, sc, h_hat_);
-  const double sigma2_hat = run_ne_stage(pool_, sc, beams, h_hat_, sig_terms_);
+  // 3) Channel estimation: per-(UE, sub-carrier) row tiles of
+  // phy::che_rows (every row of h_hat is written, so the reused buffer
+  // needs no clearing).
+  common::ws_grow(h_hat_,
+                  static_cast<size_t>(cfg.n_sc) * cfg.n_beams * cfg.n_ue);
+  const uint64_t n_che = static_cast<uint64_t>(cfg.n_ue) * cfg.n_sc;
+  pool_.run([&](uint32_t w) {
+    const auto [first, last] = Thread_pool::slice(n_che, w, workers);
+    phy::che_rows(sc, h_hat_, first, last);
+  });
 
-  // 5) MIMO LMMSE + EVM against the transmitted constellation, straight
-  // into the caller's result storage.
-  run_mimo_stage(pool_, sc, beams, h_hat_, sigma2_hat, out.symbols,
-                 evm_terms_, mimo_ws_);
+  // 4) Noise estimation: per-cell pilot residuals (phy::ne_terms) computed
+  // in parallel, summed serially in (symbol, sub-carrier, beam) order so
+  // the estimate is bit-identical to the serial accumulation.
+  const uint64_t n_ne = static_cast<uint64_t>(cfg.n_pilot_symb) * cfg.n_sc;
+  common::ws_grow(sig_terms_, n_ne * cfg.n_beams);
+  pool_.run([&](uint32_t w) {
+    const auto [first, last] = Thread_pool::slice(n_ne, w, workers);
+    phy::ne_terms(sc, beams, h_hat_, sig_terms_, first, last);
+  });
+  const double sigma2_hat = phy::mean_of_terms(sig_terms_);
+
+  // 5) MIMO LMMSE: each (data symbol, sub-carrier) item is one Gram +
+  // Cholesky + forward/backward substitution problem (phy::mimo_items ->
+  // ref::lmmse_into on the worker's private Mimo_ws).  Equalized symbols
+  // land straight in the caller's result storage at their slot index; the
+  // EVM terms are reduced serially afterwards.
+  const uint64_t n_mimo =
+      static_cast<uint64_t>(cfg.n_symb - cfg.n_pilot_symb) * cfg.n_sc;
+  out.symbols.resize(cfg.n_ue);
+  for (auto& s : out.symbols) common::ws_grow(s, n_mimo);
+  common::ws_grow(evm_terms_, n_mimo * cfg.n_ue);
+  pool_.run([&](uint32_t w) {
+    const auto [first, last] = Thread_pool::slice(n_mimo, w, workers);
+    phy::mimo_items(sc, beams, h_hat_, sigma2_hat, out.symbols, evm_terms_,
+                    mimo_ws_[w], first, last);
+  });
 
   // 6) Demodulation (parallel per UE) + the shared serial epilogue.
   out.backend = name_;

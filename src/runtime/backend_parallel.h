@@ -2,15 +2,13 @@
 //
 // Parallel_backend runs phy::golden_receive()'s double-precision receive
 // chain, but splits every kernel across a persistent common::Thread_pool
-// the way §IV maps it onto cores:
+// the way §IV maps it onto cores - each stage one static slice
+// (Thread_pool::slice) of its whole-slot item space:
 //
-//   OFDM FFT     per-symbol fan-out over the antenna transforms; when there
-//                are fewer antennas than workers, each FFT is instead
-//                computed cooperatively - butterfly blocks of one stage
-//                tiled across all workers with a Counting_barrier between
-//                stages (ref::fft_stage_blocks)
+//   OFDM FFT     per-(symbol, antenna) transforms (ref::fft_into)
 //   beamforming  the matched-filter MMM, row-block tiled over sub-carriers
-//                (ref::matmul_rows)
+//                per symbol (ref::matmul_rows), in the FFT's pool dispatch
+//                after a Counting_barrier
 //   CHE / NE     per-(UE, sub-carrier) row tiles / per-element residuals
 //   LMMSE MIMO   per-UE-batch Gram + Cholesky + forward/backward
 //                substitution, batches of (symbol, sub-carrier) problems
@@ -57,11 +55,11 @@ class Parallel_backend final : public Backend {
   common::Thread_pool pool_;
 
   // Slot workspaces (grow-then-stabilize; every buffer fully overwritten
-  // per slot).  Front half: per-antenna spectra + the beamforming
-  // transpose; back half: channel estimate, NE/EVM term arrays, and one
-  // MIMO solver workspace per pool worker (workers write disjoint item
-  // tiles but each needs private solver scratch).
-  std::vector<std::vector<phy::cd>> freq_;  // grow-only outer
+  // per slot).  Front half: per-(symbol, antenna) spectra + the
+  // beamforming transpose; back half: channel estimate, NE/EVM term
+  // arrays, and one MIMO solver workspace per pool worker (workers write
+  // disjoint item tiles but each needs private solver scratch).
+  std::vector<std::vector<phy::cd>> freq_;  // [symb * rx], grow-only outer
   std::vector<phy::cd> ft_;
   std::vector<phy::cd> h_hat_;
   std::vector<double> sig_terms_;

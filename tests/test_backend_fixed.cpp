@@ -114,8 +114,9 @@ TEST(FixedBackend, BitIdenticalToSimAcrossScenarioGridAndWorkers) {
 }
 
 TEST(FixedBackend, CooperativeFftPathBitIdenticalToSim) {
-  // Fewer transforms than workers forces the cooperative FFT: butterfly
-  // blocks tiled across all workers with a barrier between stages.
+  // More workers than (symbol, antenna) transforms: some workers own no
+  // transform and only meet the others at the barrier before their
+  // beamforming rows.
   phy::Uplink_config cfg;
   cfg.n_sc = 64;
   cfg.fft_size = 64;
@@ -134,6 +135,40 @@ TEST(FixedBackend, CooperativeFftPathBitIdenticalToSim) {
     runtime::Fixed_backend backend(intra);
     const auto fix = pipeline.execute(sc, backend);
     expect_slot_bits_equal(sim, fix, "intra " + std::to_string(intra));
+  }
+}
+
+TEST(FixedBackend, SymbolBatchedMimoBitIdenticalToSim) {
+  // The sim backend groups chol_symb_batch data symbols per Cholesky/solve
+  // launch; the fixed backend solves every (data symbol, sub-carrier) item
+  // independently and must still match it bit for bit, launch counts in
+  // stages[].runs included.
+  phy::Uplink_config cfg;
+  cfg.n_sc = 64;
+  cfg.fft_size = 64;
+  cfg.n_rx = 4;
+  cfg.n_beams = 4;
+  cfg.n_ue = 2;
+  cfg.n_symb = 6;
+  cfg.n_pilot_symb = 2;
+  cfg.seed = 21;
+  const phy::Uplink_scenario sc(cfg);
+  const uint32_t n_data = cfg.n_symb - cfg.n_pilot_symb;
+
+  for (const uint32_t batch : {2u, n_data}) {
+    runtime::Uplink_options opt;
+    opt.chol_symb_batch = batch;
+    const auto pipeline =
+        runtime::uplink_pipeline(arch::Cluster_config::minipool(), opt);
+    const auto sim = pipeline.execute(sc, *runtime::make_backend("sim"));
+    ASSERT_EQ(sim.stages[5].runs, 2 * (n_data / batch));
+    for (const uint32_t intra : {1u, 4u}) {
+      runtime::Fixed_backend backend(intra);
+      const auto fix = pipeline.execute(sc, backend);
+      expect_slot_bits_equal(sim, fix,
+                             "batch " + std::to_string(batch) + " intra " +
+                                 std::to_string(intra));
+    }
   }
 }
 

@@ -156,8 +156,9 @@ TEST(ParallelBackend, BitIdenticalToReferenceAcrossScenarioGridAndWorkers) {
 }
 
 TEST(ParallelBackend, CooperativeFftPathBitIdentical) {
-  // Fewer transforms than workers forces the cooperative FFT: butterfly
-  // blocks tiled across all workers with a barrier between stages.
+  // More workers than (symbol, antenna) transforms: some workers own no
+  // transform and only meet the others at the barrier before their
+  // beamforming rows.
   phy::Uplink_config cfg;
   cfg.n_sc = 64;
   cfg.fft_size = 64;

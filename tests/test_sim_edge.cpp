@@ -55,8 +55,9 @@ TEST(SimEdgeDeathTest, L1OverflowIsCaught) {
   GTEST_FLAG_SET(death_test_style, "threadsafe");
   EXPECT_DEATH(
       {
-        arch::L1_alloc alloc(cfg16());
-        alloc.alloc(cfg16().l1_words() + 1);
+        const arch::Cluster_config cfg = cfg16();
+        arch::L1_alloc alloc(cfg);
+        alloc.alloc(cfg.l1_words() + 1);
       },
       "SRAM");
 }
