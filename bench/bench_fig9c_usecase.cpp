@@ -8,7 +8,7 @@
 // 0.785 ms at 1 GHz vs. the 0.5 ms slot budget.
 #include "bench/bench_util.h"
 #include "common/cli.h"
-#include "pusch/use_case_rollup.h"
+#include "runtime/presets.h"
 
 namespace {
 
@@ -17,12 +17,12 @@ using common::Table;
 
 void run(const arch::Cluster_config& cluster, bool batch, bool ext,
          uint32_t sim_shards, bench::Report& rep) {
-  pusch::Chain_config cfg;
+  runtime::Use_case_options cfg;
   cfg.cluster = cluster;
   cfg.batch_cholesky = batch;
   cfg.include_estimation = ext;
   cfg.sim_shards = sim_shards;
-  const auto res = pusch::run_use_case(cfg);
+  const auto res = runtime::run_use_case(cfg);
 
   const std::string config_name =
       cluster.name + (batch ? " chol-batched" : " chol-per-symbol");

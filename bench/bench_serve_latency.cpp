@@ -6,10 +6,10 @@
 // served by the streaming scheduler on the simulated cluster; every slot's
 // latency runs on the deterministic virtual clock (simulated cycles at
 // --clock-ghz, one virtual cluster draining the queue) and is scored
-// against its cell's 1 ms / 2^mu slot budget.  The run repeats with a
-// different host worker count and with stage pipelining requested, and the
-// aggregate reports (per-cell EVM/BER, latency histograms, miss counts) are
-// verified identical - the scheduler's determinism contract.
+// against its cell's 1 ms / 2^mu slot budget.  The run repeats on two host
+// slot workers, and the aggregate reports (per-cell EVM/BER, latency
+// histograms, miss counts) are verified identical - the scheduler's
+// determinism contract.
 //
 //   ./bench/bench_serve_latency [--slots 24] [--backend sim]
 //       [--arch minipool] [--clock-ghz 0.02] [--load 0.9] [--seed 1]
@@ -58,8 +58,7 @@ int main(int argc, char** argv) {
                 "Sustained two-cell Poisson traffic served by the streaming "
                 "scheduler; per-slot\nlatency on the deterministic virtual "
                 "clock against the 1 ms / 2^mu slot budget.\nAggregates are "
-                "re-checked bit-identical across worker counts and stage "
-                "pipelining.");
+                "re-checked bit-identical across worker counts.");
   auto rep = bench::make_report("bench_serve_latency", "[§II]",
                                 "streaming slot latency vs. slot budget");
 
@@ -90,20 +89,17 @@ int main(int argc, char** argv) {
   opt.clock_ghz = get_positive_double(cli, "--clock-ghz", 0.02);
 
   opt.workers = 1;
-  opt.pipelined = false;
   const auto serial = runtime::Slot_scheduler(opt).run(source);
   opt.workers = 2;
-  opt.pipelined = true;  // silently off on the sim backend, on for hosts
-  const auto overlapped = runtime::Slot_scheduler(opt).run(source);
+  const auto parallel = runtime::Slot_scheduler(opt).run(source);
 
   std::fputs(serial.str().c_str(), stdout);
-  std::printf("\nserial    : %6.1f slots/s (%.3f s wall)\n",
+  std::printf("\nserial   : %6.1f slots/s (%.3f s wall)\n",
               serial.slots_per_second(), serial.wall_seconds);
-  std::printf("%u workers%s: %6.1f slots/s (%.3f s wall)\n",
-              overlapped.workers, overlapped.pipelined ? " +pipe" : "      ",
-              overlapped.slots_per_second(), overlapped.wall_seconds);
-  const bool ok = serial.deterministic_equal(overlapped);
-  std::printf("aggregates bit-identical across workers/pipelining: %s\n",
+  std::printf("%u workers: %6.1f slots/s (%.3f s wall)\n", parallel.workers,
+              parallel.slots_per_second(), parallel.wall_seconds);
+  const bool ok = serial.deterministic_equal(parallel);
+  std::printf("aggregates bit-identical across workers: %s\n",
               ok ? "yes" : "NO");
 
   // ---- steady-state serving loop: zero allocations after warm-up --------
@@ -193,7 +189,7 @@ int main(int argc, char** argv) {
   totals.metric("worker_invariant", ok ? 1.0 : 0.0, "bool", true, "higher");
   totals.metric("serial_slots_per_s", serial.slots_per_second(), "slots/s",
                 false, "info");
-  totals.metric("parallel_slots_per_s", overlapped.slots_per_second(),
+  totals.metric("parallel_slots_per_s", parallel.slots_per_second(),
                 "slots/s", false, "info");
   rep.add_meta("steady_backend", steady_name);
   totals.metric("allocs_per_slot", apslot, "allocs/slot", true, "exact");

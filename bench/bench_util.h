@@ -185,10 +185,13 @@ inline phy::Channel_profile channel_from_cli(const common::Cli& cli,
 // an SNR whose noise power 10^(-snr/10) is a finite double.  "sim" and
 // "fixed" run the radix-4 kernels (Fft_geom::valid_size) and cap the UE
 // count at their MIMO kernels' limits: Trisolve_batch::max_n on the
-// simulator, common::max_layers on the host.
+// simulator, common::max_layers on the host.  On every backend the UE count
+// is also capped at `n_beams`: with more UE layers than beams the LMMSE
+// Gram matrix is rank-deficient and the slot decodes to noise.
 inline void check_slot_domain(const std::string& backend,
                               const std::vector<uint32_t>& fft_sizes,
                               const std::vector<uint32_t>& ue_counts,
+                              uint32_t n_beams,
                               const std::vector<double>& snr_db) {
   const bool q15 = backend == "sim" || backend == "fixed";
   constexpr uint32_t min_fft = kernels::Fft_geom::min_size;
@@ -211,6 +214,13 @@ inline void check_slot_domain(const std::string& backend,
       std::fprintf(stderr,
                    "bad UE count %u for --ue on the '%s' backend (1..%u)\n",
                    ue, backend.c_str(), max_ue);
+      std::exit(2);
+    }
+    if (ue > n_beams) {
+      std::fprintf(stderr,
+                   "bad UE count %u for --ue with %u beams (1..n_beams = "
+                   "1..%u)\n",
+                   ue, n_beams, n_beams);
       std::exit(2);
     }
   }
@@ -246,8 +256,7 @@ inline void print_catalog() {
                            : (name == "fixed"
                                   ? "bit-exact Q1.15 host kernels (== sim)"
                                   : "double-precision host models");
-    std::printf("  %-10s %s%s\n", name.c_str(), what,
-                b->can_split() ? ", stage-splittable" : "");
+    std::printf("  %-10s %s\n", name.c_str(), what);
   }
   std::printf("\nplacement policies (--placement):\n");
   std::printf("  %-10s cell i onto shard i mod N\n", "round-robin");

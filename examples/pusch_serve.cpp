@@ -9,7 +9,7 @@
 //   ./examples/pusch_serve                               # 2 cells, 64 slots
 //   ./examples/pusch_serve --cells 2 --slots 128 --load 0.8
 //       --mu 1,0 --fft 64,256 --ue 2,4 --qam 16,64 --snr 30
-//       --backend reference --workers 4 --pipelined
+//       --backend reference --workers 4 --intra 2
 //   ./examples/pusch_serve --backend sim --arch minipool --clock-ghz 0.02
 //   ./examples/pusch_serve --shards 2 --placement load-aware
 //       --overload degrade --load 1.5                    # sharded serving
@@ -20,19 +20,20 @@
 // Cell i draws its parameters from position i (mod length) of the --mu,
 // --fft, --ue, --qam, --snr, --load, --channel, --doppler and
 // --delay-spread lists; --fft, --ue and --snr values outside the backend's
-// slot domain (bench::check_slot_domain) exit 2 naming the valid range.
+// slot domain (bench::check_slot_domain, which also caps --ue at --beams)
+// exit 2 naming the valid range, and so does any unknown flag.
 // --channel picks each cell's fading profile
 // (phy/channel.h: flat | tdl-a | tdl-c); --max-harq N closes the HARQ
 // loop - slots decoding above --harq-ber re-enter the stream as chase-
 // combined retransmissions, at most N per slot, admitted against the same
-// capacity as the exogenous traffic.  --pipelined overlaps the
-// front half (FFT + beamforming) of slot n+1 with the back half of slot n
-// (host backends only); --intra N additionally splits every kernel inside
-// the "parallel" backend.  Deadline metrics run on the deterministic
-// virtual clock - simulated cycles at --clock-ghz on the sim backend, the
-// analytic MAC model on host backends, drained by --servers virtual
-// clusters - so miss counts and latency percentiles are bit-identical for
-// any --workers and with --pipelined on or off (docs/DETERMINISM.md).
+// capacity as the exogenous traffic.  --workers N runs N slots at once
+// (on the sim backend: N simulated machines); --intra N additionally
+// splits every kernel inside the "parallel" and "fixed" backends, the knob
+// that cuts single-slot latency.  Deadline metrics run on the
+// deterministic virtual clock - simulated cycles at --clock-ghz on the sim
+// backend, the analytic MAC model on host backends, drained by --servers
+// virtual clusters - so miss counts and latency percentiles are
+// bit-identical for any --workers and --intra (docs/DETERMINISM.md).
 //
 // Sharded serving (docs/DETERMINISM.md §8): --shards N runs N scheduler
 // shards, each its own FCFS virtual-clock queue of --servers clusters;
@@ -129,14 +130,9 @@ int main(int argc, char** argv) {
 
   runtime::Scheduler_options opt;
   opt.backend = bench::backend_from_cli(cli);
-  bench::check_slot_domain(opt.backend, fft, ue, snr);
+  bench::check_slot_domain(opt.backend, fft, ue, traffic.n_beams, snr);
   opt.workers = cli.get_u32("--workers", 0);
   opt.intra = cli.get_u32("--intra", 1);
-  // --sim-shards N: run N concurrent simulated machines (sim backend only;
-  // bit-identical for every N, see docs/DETERMINISM.md §5).  Distinct from
-  // --shards, which splits the virtual-clock serving engine.
-  opt.sim_shards = cli.get_u32("--sim-shards", 0);
-  opt.pipelined = cli.has("--pipelined");
   opt.cluster = bench::cluster_from_cli(cli, "minipool");
   opt.keep_slots = false;  // the CLI only reports the roll-up
   opt.service_units = cli.get_u32("--servers", 1);
@@ -157,6 +153,8 @@ int main(int argc, char** argv) {
   if (opt.harq_ber < 0.0 || opt.harq_ber > 1.0) {
     bad_range("--harq-ber", "BER threshold must be in [0, 1]");
   }
+  cli.get("--json", "");  // read at the end by bench::emit
+  cli.reject_unknown();
 
   const runtime::Traffic_source source(traffic);
   std::printf("serve: %llu slots over %zu cell%s on '%s' (%s cluster), "
@@ -180,7 +178,6 @@ int main(int argc, char** argv) {
   rep.add_meta("backend", res.backend);
   rep.add_meta("cluster", opt.cluster.name);
   rep.add_meta("workers", std::to_string(res.workers));
-  rep.add_meta("pipelined", res.pipelined ? "yes" : "no");
   rep.add_meta("servers", std::to_string(opt.service_units));
   rep.add_meta("shards", std::to_string(opt.shards));
   rep.add_meta("placement", res.placement);

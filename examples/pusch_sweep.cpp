@@ -15,8 +15,9 @@
 // take comma-separated values; --snr also accepts lo:hi:step (at most
 // kMaxSnrPoints points, each step advancing at double precision).  Counts
 // (--ue, --rx, --beams) must be >= 1, and --fft, --ue and --snr must lie in
-// the backend's slot domain (bench::check_slot_domain); anything else exits
-// 2 naming the valid range.  Per-slot seeds are
+// the backend's slot domain (bench::check_slot_domain, which also caps --ue
+// at --beams); anything else, an unknown flag included, exits 2 naming the
+// valid range.  Per-slot seeds are
 // Rng::derive_seed(--seed, slot_index), so results are bit-identical for
 // any --workers and --intra counts (docs/DETERMINISM.md).  --list prints
 // the registered clusters, backends, pipeline presets and registry kernels
@@ -149,14 +150,12 @@ int main(int argc, char** argv) {
   runtime::Scheduler_options opt;
   opt.backend = bench::backend_from_cli(cli);
   bench::check_slot_domain(opt.backend, grid.fft_sizes, grid.ue_counts,
-                           grid.snr_db);
+                           grid.n_beams, grid.snr_db);
   opt.workers = cli.get_u32("--workers", 0);
   opt.intra = cli.get_u32("--intra", 1);
-  // --sim-shards N: run N concurrent simulated machines (sim backend only;
-  // bit-identical for every N, see docs/DETERMINISM.md §5).
-  opt.sim_shards = cli.get_u32("--sim-shards", 0);
   opt.cluster = bench::cluster_from_cli(cli, "minipool");
   opt.keep_slots = false;  // the CLI only reports the roll-up
+  cli.reject_unknown();
 
   std::printf("sweep: %llu points x %u slots on '%s' (%s cluster)\n",
               static_cast<unsigned long long>(grid.n_points()),

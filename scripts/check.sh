@@ -3,10 +3,10 @@
 # quickstart example (registry + pipeline on both backends), small scenario
 # sweeps (slot scheduler + determinism cross-check, including the
 # intra-slot 'parallel' backend), the streaming traffic engine
-# (pusch_serve, stage-pipelined and --list), the fading channel profiles
-# and HARQ loop (TDL serve + bench_scenario_mix), the sharded serving
-# engine (placement + overload policies, CLI name, zero-count and
-# backend slot-domain validation, bench_capacity), a
+# (pusch_serve, slot x intra-slot workers and --list), the fading channel
+# profiles and HARQ loop (TDL serve + bench_scenario_mix), the sharded serving
+# engine (placement + overload policies, CLI name, unknown-flag,
+# zero-count and backend slot-domain validation, bench_capacity), a
 # markdown link check over README + docs/, a bench_all --quick pass
 # whose JSON reports are
 # validated and diffed against the committed baseline
@@ -74,7 +74,6 @@ echo "--- smoke: examples/quickstart ---"
 echo "--- smoke: 2-worker scenario sweep (small grid, all four backends) ---"
 "$BUILD_DIR"/examples/pusch_sweep --workers 2 --fft 16,64 --snr 10,20,30
 "$BUILD_DIR"/examples/pusch_sweep --workers 2 --backend sim --fft 64 --snr 20
-"$BUILD_DIR"/examples/pusch_sweep --backend sim --sim-shards 2 --fft 64 --snr 20
 "$BUILD_DIR"/examples/pusch_sweep --workers 1 --backend parallel --intra 2 \
     --fft 16,64 --snr 10,20,30
 "$BUILD_DIR"/examples/pusch_sweep --workers 1 --backend fixed --intra 2 \
@@ -85,13 +84,12 @@ echo "--- smoke: 2-worker scenario sweep (small grid, all four backends) ---"
 "$BUILD_DIR"/bench/bench_fixed_host --fft 256 --symb 4
 
 echo "--- smoke: streaming traffic engine (pusch_serve + --list) ---"
-# Stage-pipelined streaming on the host models, the sim backend's
-# deterministic deadline accounting, and the registry catalog listing.
-"$BUILD_DIR"/examples/pusch_serve --slots 16 --workers 2 --pipelined
+# Slot workers composed with intra-slot workers on the host models, the
+# sim backend's deterministic deadline accounting on one and on two
+# concurrent simulated machines, and the registry catalog listing.
+"$BUILD_DIR"/examples/pusch_serve --slots 16 --workers 2 --intra 2
 "$BUILD_DIR"/examples/pusch_serve --backend sim --slots 6 --clock-ghz 0.02
-# Sharded simulator: two concurrent machines must reproduce the unsharded
-# serve bit for bit (the CLI prints the same deterministic surface).
-"$BUILD_DIR"/examples/pusch_serve --backend sim --sim-shards 2 --slots 6 \
+"$BUILD_DIR"/examples/pusch_serve --backend sim --workers 2 --slots 6 \
     --clock-ghz 0.02
 "$BUILD_DIR"/examples/pusch_serve --list > /dev/null
 "$BUILD_DIR"/examples/pusch_sweep --list > /dev/null
@@ -115,9 +113,10 @@ echo "--- smoke: sharded serving engine + capacity search ---"
     --overload queue --queue-limit 2 --clock-ghz 0.0001
 "$BUILD_DIR"/bench/bench_capacity --slots 96 --iters 8 > /dev/null
 # Unknown names for the serving flags must exit 2 with the registered list
-# (the --list convention), and zero counts and values outside the backend's
-# slot domain (FFT size, UE count, SNR) must exit 2 naming the valid range -
-# not abort, crash or silently run.
+# (the --list convention), zero counts and values outside the backend's
+# slot domain (FFT size, UE count - at most the beam count - and SNR) must
+# exit 2 naming the valid range, and unknown or retired flags must exit 2
+# naming the flag - not abort, crash or silently run.
 for bad in "pusch_serve --placement random" "pusch_serve --overload shed" \
            "pusch_serve --shards 0" "pusch_serve --channel rician" \
            "pusch_serve --cells 0" "pusch_serve --ue 0" \
@@ -137,7 +136,10 @@ for bad in "pusch_serve --placement random" "pusch_serve --overload shed" \
            "pusch_sweep --backend fixed --ue 9 --rx 4" \
            "pusch_sweep --backend sim --ue 5 --rx 4 --beams 4" \
            "pusch_sweep --snr nan" "pusch_sweep --snr 0:1e9:0.001" \
-           "pusch_sweep --snr 1e20:1e20:1"; do
+           "pusch_sweep --snr 1e20:1e20:1" \
+           "pusch_serve --pipelined" "pusch_sweep --sim-shards 2" \
+           "pusch_serve --wrokers 2" "pusch_serve --ue 8 --beams 4" \
+           "pusch_sweep --ue 8 --beams 4"; do
   if "$BUILD_DIR"/examples/$bad --slots 1 > /dev/null 2>&1; then
     echo "accepted invalid flag: $bad"
     exit 1

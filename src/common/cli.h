@@ -1,8 +1,14 @@
 // Tiny command-line flag reader for the example/bench executables.
 // Flags look like: --arch terapool --size 4096 --verbose
+//
+// Every flag name a get*/has call asks about is remembered, so a CLI that
+// reads all its flags up front can call reject_unknown() to turn a typo or
+// a retired flag into an exit-2 error instead of silently running without
+// it.
 #ifndef PUSCHPOOL_COMMON_CLI_H
 #define PUSCHPOOL_COMMON_CLI_H
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -19,6 +25,7 @@ class Cli {
 
   // Value of "--name value", or fallback if absent.
   std::string get(const std::string& name, const std::string& fallback) const {
+    note(name);
     for (size_t i = 0; i + 1 < args_.size(); ++i) {
       if (args_[i] == name) return args_[i + 1];
     }
@@ -26,6 +33,7 @@ class Cli {
   }
 
   long get_int(const std::string& name, long fallback) const {
+    note(name);
     for (size_t i = 0; i + 1 < args_.size(); ++i) {
       if (args_[i] == name) return std::strtol(args_[i + 1].c_str(), nullptr, 10);
     }
@@ -35,6 +43,7 @@ class Cli {
   // Value of "--name" as a validated non-negative 32-bit integer.
   // Malformed or negative values print a readable error and exit 2.
   uint32_t get_u32(const std::string& name, uint32_t fallback) const {
+    note(name);
     for (size_t i = 0; i + 1 < args_.size(); ++i) {
       if (args_[i] == name) return parse_u32_or_die(name, args_[i + 1]);
     }
@@ -44,6 +53,7 @@ class Cli {
   // Value of "--name" as a validated double; malformed values print a
   // readable error and exit 2.  Range checks stay at the call site.
   double get_double(const std::string& name, double fallback) const {
+    note(name);
     for (size_t i = 0; i + 1 < args_.size(); ++i) {
       if (args_[i] == name) return parse_double_or_die(name, args_[i + 1]);
     }
@@ -122,10 +132,23 @@ class Cli {
 
   // True if the bare flag "--name" appears anywhere.
   bool has(const std::string& name) const {
+    note(name);
     for (const auto& a : args_) {
       if (a == name) return true;
     }
     return false;
+  }
+
+  // Exits 2 naming the first "--" token no get*/has call has asked about.
+  // Call it once every flag has been read, before any work starts.
+  void reject_unknown() const {
+    for (const auto& a : args_) {
+      if (a.rfind("--", 0) == 0 &&
+          std::find(queried_.begin(), queried_.end(), a) == queried_.end()) {
+        std::fprintf(stderr, "unknown flag '%s'\n", a.c_str());
+        std::exit(2);
+      }
+    }
   }
 
   // First non-flag positional argument, or fallback.
@@ -175,7 +198,10 @@ class Cli {
     return v;
   }
 
+  void note(const std::string& name) const { queried_.push_back(name); }
+
   std::vector<std::string> args_;
+  mutable std::vector<std::string> queried_;  // flag names asked about
 };
 
 }  // namespace pp::common

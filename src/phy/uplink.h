@@ -185,10 +185,9 @@ struct Back_ws {
   }
 };
 
-// The receive chain split at the beam-grid boundary, for stage-pipelined
-// execution (runtime/scheduler.h overlaps the front half of slot n+1 with
-// the back half of slot n).  golden_receive() runs exactly
-// golden_back_into(sc, golden_front_into(sc)), so the split is
+// The receive chain split at the beam-grid boundary (the host backends'
+// Backend::run_front_into / run_back_into halves).  golden_receive() runs
+// exactly golden_back_into(sc, golden_front_into(sc)), so the split is
 // bit-identical to the fused chain by construction.
 //
 // Front half: per-symbol OFDM FFT + beamforming -> the beam grid, one row

@@ -7,8 +7,8 @@
 // model (analytic_service_seconds) through the same earliest-free-server
 // FCFS recurrence the deadline accounting uses - so the whole verdict
 // stream is a pure function of (jobs, placement, policy, cluster, clock):
-// identical on every backend, for any host worker count, with or without
-// stage pipelining (docs/DETERMINISM.md §8).  On cycle-accurate backends
+// identical on every backend, for any host worker count
+// (docs/DETERMINISM.md §8).  On cycle-accurate backends
 // the predictor is a model of the true (simulated-cycle) service times, not
 // a copy of them - deliberately, since a controller that needed the cycles
 // would have to execute the slot it is deciding about.

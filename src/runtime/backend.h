@@ -40,9 +40,8 @@ namespace pp::runtime {
 // after OFDM FFT + beamforming, one row per OFDM symbol, row layout
 // [sc * beam].  Produced by Backend::run_front_into(), consumed by
 // Backend::run_back_into().  Flat workspace storage: the backend's own
-// Slot_front and the scheduler's stage-pipeline pools are recycled across
-// slots, so the grid's capacity survives and the steady state allocates
-// nothing.
+// Slot_front is recycled across slots, so the grid's capacity survives and
+// the steady state allocates nothing.
 struct Slot_front {
   common::Ws_grid<phy::cd> beams;
 };
@@ -60,13 +59,13 @@ class Backend {
   virtual void run_slot_into(const Pipeline& p, const phy::Uplink_scenario& sc,
                              Slot_result& out);
 
-  // Stage-split execution, used by runtime::Slot_scheduler to overlap the
-  // front half (FFT + beamforming) of slot n+1 with the back half (CHE, NE,
-  // LMMSE MIMO, demodulation) of slot n.  Because run_slot_into() is built
-  // from the same two calls, the split is bit-identical to the whole slot.
-  // A backend that cannot split overrides run_slot_into() and can_split();
-  // its split entry points abort.
-  virtual bool can_split() const { return true; }
+  // The slot's two halves: the front half (OFDM FFT + beamforming) into a
+  // Slot_front, and the back half (CHE, NE, LMMSE MIMO, demodulation) from
+  // it.  run_slot_into() is built from these two calls, so running them in
+  // turn is bit-identical to the whole slot; callers that time the halves
+  // separately (perfbench's traced run) use them directly.  A backend that
+  // overrides run_slot_into() with a fused chain ("sim") leaves them
+  // unimplemented: they abort.
   virtual void run_front_into(const Pipeline& p, const phy::Uplink_scenario& sc,
                               Slot_front& out);
   virtual void run_back_into(const Pipeline& p, const phy::Uplink_scenario& sc,
@@ -91,7 +90,6 @@ class Sim_backend final : public Backend {
   bool cycle_accurate() const override { return true; }
   void run_slot_into(const Pipeline& p, const phy::Uplink_scenario& sc,
                      Slot_result& out) override;
-  bool can_split() const override { return false; }
   size_t workspace_bytes() const override;
 
  private:

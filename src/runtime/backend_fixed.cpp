@@ -8,7 +8,7 @@
 // partition, the same serial EVM order.  A change to the sim backend's
 // marshaling must be made here too (tests/test_backend_fixed.cpp pins the
 // bit-exact contract across a scenario grid, worker counts and the
-// split/pipelined path).
+// split front/back path).
 //
 // All marshaling staging lives in the backend's slot workspaces
 // (grow-then-stabilize): after the first slot of a shape, a run allocates

@@ -7,8 +7,7 @@
 //
 //   measure()   analytic roll-up: run one instance of every stage on the
 //               simulated cluster and scale by its repetition count (the
-//               paper's Fig. 9c methodology; replaces the old
-//               pusch::run_use_case internals)
+//               paper's Fig. 9c methodology; runtime::run_use_case)
 //   execute_into()  functional slot execution: stream an uplink scenario
 //               through the stages on a pluggable Backend (backend.h) - the
 //               cycle-approximate simulator ("sim"), the double-precision

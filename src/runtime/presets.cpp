@@ -147,7 +147,6 @@ Pipeline use_case_pipeline(const Use_case_options& opt) {
 Rollup_result run_use_case(const Use_case_options& opt) {
   Measure_options mopt;
   mopt.shards = std::max(1u, opt.sim_shards);
-  mopt.reuse_reports = opt.reuse_reports;
   return use_case_pipeline(opt).measure(mopt);
 }
 
@@ -159,7 +158,6 @@ Pipeline uplink_pipeline(const arch::Cluster_config& cluster,
     st.name = "OFDM FFT";
     st.role = Stage_role::fft;
     st.run.kernel = "fft.parallel";
-    if (opt.fft_instances) st.run.params.set("inst", opt.fft_instances);
     st.rescale = 8.0;  // time samples into the FFT
     p.add(std::move(st));
   }

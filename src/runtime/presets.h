@@ -23,10 +23,9 @@ struct Use_case_options {
   pusch::Pusch_dims dims;
   bool batch_cholesky = true;       // schedule 4 data symbols per batch
   bool include_estimation = false;  // extension: CHE/NE/gram/solve rows
-  // Roll-up measurement knobs (Measure_options): host threads for the
-  // per-stage machines and report reuse.  Bit-identical for any setting.
+  // Host threads for the per-stage machines (Measure_options::shards).
+  // Bit-identical for any setting.
   uint32_t sim_shards = 1;
-  bool reuse_reports = true;
 };
 
 Pipeline use_case_pipeline(const Use_case_options& opt);
@@ -37,7 +36,6 @@ Rollup_result run_use_case(const Use_case_options& opt);
 
 // Configuration knobs of the functional uplink chain.
 struct Uplink_options {
-  uint32_t fft_instances = 0;   // concurrent FFT gangs; 0 = fill the cluster
   uint32_t chol_symb_batch = 1;  // data symbols per Cholesky/solve launch
 };
 

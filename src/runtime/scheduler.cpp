@@ -3,11 +3,8 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
-#include <condition_variable>
 #include <cstdio>
 #include <memory>
-#include <mutex>
-#include <optional>
 #include <thread>
 
 #include <algorithm>
@@ -29,72 +26,6 @@ using Clock = std::chrono::steady_clock;
 double seconds_since(Clock::time_point t0) {
   return std::chrono::duration<double>(Clock::now() - t0).count();
 }
-
-// Hand-off between a worker's front and back thread in pipelined mode: a
-// one-deep mailbox, i.e. the double buffer - the back thread equalizes slot
-// n while the front thread's FFT+beamforming of slot n+1 fills the mailbox.
-struct Front_item {
-  uint64_t index = 0;
-  std::unique_ptr<const phy::Uplink_scenario> sc;
-  Slot_front front;
-  double front_seconds = 0.0;
-};
-
-class Front_mailbox {
- public:
-  void push(Front_item item) {
-    std::unique_lock<std::mutex> lock(m_);
-    cv_.wait(lock, [&] { return !item_.has_value(); });
-    item_.emplace(std::move(item));
-    cv_.notify_all();
-  }
-
-  void close() {
-    std::lock_guard<std::mutex> lock(m_);
-    closed_ = true;
-    cv_.notify_all();
-  }
-
-  std::optional<Front_item> pop() {
-    std::unique_lock<std::mutex> lock(m_);
-    cv_.wait(lock, [&] { return item_.has_value() || closed_; });
-    if (!item_.has_value()) return std::nullopt;
-    std::optional<Front_item> out = std::move(item_);
-    item_.reset();
-    cv_.notify_all();
-    return out;
-  }
-
- private:
-  std::mutex m_;
-  std::condition_variable cv_;
-  std::optional<Front_item> item_;
-  bool closed_ = false;
-};
-
-// Recycled Slot_front storage for one front/back thread pair: the back
-// thread returns consumed fronts, so the front thread's next
-// run_front_into() reuses the grown beam grid instead of allocating.  The
-// mailbox is one deep, so at most two fronts are ever in flight per pair;
-// the cap is slack on top of that.
-class Front_pool {
- public:
-  Slot_front take() {
-    std::lock_guard<std::mutex> lock(m_);
-    if (items_.empty()) return {};
-    Slot_front f = std::move(items_.back());
-    items_.pop_back();
-    return f;
-  }
-  void put(Slot_front f) {
-    std::lock_guard<std::mutex> lock(m_);
-    if (items_.size() < 4) items_.push_back(std::move(f));
-  }
-
- private:
-  std::mutex m_;
-  std::vector<Slot_front> items_;
-};
 
 }  // namespace
 
@@ -126,16 +57,11 @@ Schedule_result Slot_scheduler::run(const Slot_source& src) const {
 
   const Pipeline pipeline = uplink_pipeline(opt_.cluster, opt_.uplink);
 
-  // Probe the backend once for the split and cycle-accuracy capabilities
-  // (cheap: intra = 1 spawns no pool threads).
-  bool pipelined = opt_.pipelined && !opt_.virtual_only;
-  bool cycle_accurate = false;
-  {
-    const auto probe = make_backend(opt_.backend, 1);
-    cycle_accurate = probe->cycle_accurate() && !opt_.virtual_only &&
-                     !opt_.analytic_service;
-    pipelined = pipelined && probe->can_split();
-  }
+  // Probe the backend once for cycle accuracy (cheap: intra = 1 spawns no
+  // pool threads).
+  const bool cycle_accurate =
+      make_backend(opt_.backend, 1)->cycle_accurate() && !opt_.virtual_only &&
+      !opt_.analytic_service;
 
   // ---- serial pre-pass: resolve, place, admit --------------------------
   // job(i) is pure and cheap (the expensive scenario construction stays in
@@ -189,22 +115,20 @@ Schedule_result Slot_scheduler::run(const Slot_source& src) const {
   uint32_t workers_used = 0;
 
   // Per-worker state persists across HARQ rounds: the backends (and the
-  // slot workspaces they grew on round 0), the summary-mode result scratch,
-  // and the pipelined mode's recycled Slot_front storage.
-  std::vector<std::unique_ptr<Backend>> whole_backends;
-  std::vector<std::unique_ptr<Backend>> front_backends, back_backends;
+  // slot workspaces they grew on round 0) and the summary-mode result
+  // scratch.
+  std::vector<std::unique_ptr<Backend>> backends;
   std::vector<Slot_result> scratch;
-  std::vector<std::unique_ptr<Front_pool>> front_pools;
 
   // Execute jobs[first..jobs.size()) that survived admission - the whole
   // initial stream on round 0, each round's retransmissions afterwards.
   //
   // Workers pull positions in the admitted stream from the cursor and write
   // results into their own pre-sized element - no locks, no shared mutable
-  // kernel state (each worker or worker-thread owns a private Backend; the
-  // lazily-built twiddle / QAM tables are call_once-guarded and immutable
-  // afterwards).  Scenarios come from the admission verdict's final config,
-  // so a degraded slot executes its re-planned layer count.
+  // kernel state (each worker owns a private Backend; the lazily-built
+  // twiddle / QAM tables are call_once-guarded and immutable afterwards).
+  // Scenarios come from the admission verdict's final config, so a degraded
+  // slot executes its re-planned layer count.
   auto execute_batch = [&](uint64_t first) {
     // Compact execution stream: dropped jobs are shed before any backend
     // sees them - that is the point of admission control.
@@ -217,11 +141,6 @@ Schedule_result Slot_scheduler::run(const Slot_source& src) const {
     }
 
     uint32_t workers = opt_.workers;
-    // --sim-shards: a fixed count of concurrent simulated machines.  Only
-    // the thread count changes - the index-ordered merges below make every
-    // shard count bit-identical, so this stays out of the determinism
-    // surface.
-    if (opt_.sim_shards > 0 && opt_.backend == "sim") workers = opt_.sim_shards;
     if (workers == 0) {
       workers = std::max(1u, std::thread::hardware_concurrency());
     }
@@ -234,26 +153,12 @@ Schedule_result Slot_scheduler::run(const Slot_source& src) const {
     // Grow the persistent per-worker state (never shrink: a later HARQ
     // round with fewer jobs still reuses the backends round 0 built).
     if (scratch.size() < workers) scratch.resize(workers);
-    if (pipelined) {
-      if (front_backends.size() < workers) front_backends.resize(workers);
-      if (back_backends.size() < workers) back_backends.resize(workers);
-      while (front_pools.size() < workers) {
-        front_pools.push_back(std::make_unique<Front_pool>());
-      }
-    } else if (whole_backends.size() < workers) {
-      whole_backends.resize(workers);
-    }
-    auto record = [&](uint64_t i, const Slot_result& r) {
-      stats[i] = {r.evm, r.ber, r.sigma2_hat, r.total_cycles()};
-    };
+    if (backends.size() < workers) backends.resize(workers);
 
-    // Plain mode: each worker runs whole slots, exactly the old sweep
-    // engine.
-    auto work_whole = [&](uint32_t w) {
-      if (!whole_backends[w]) {
-        whole_backends[w] = make_backend(opt_.backend, opt_.intra);
-      }
-      Backend& backend = *whole_backends[w];
+    // Each worker runs whole slots on its private backend.
+    auto work = [&](uint32_t w) {
+      if (!backends[w]) backends[w] = make_backend(opt_.backend, opt_.intra);
+      Backend& backend = *backends[w];
       for (;;) {
         const uint64_t p = cursor.fetch_add(1, std::memory_order_relaxed);
         if (p >= exec.size()) break;
@@ -263,68 +168,19 @@ Schedule_result Slot_scheduler::run(const Slot_source& src) const {
         Slot_result& dst = retain ? slots[i] : scratch[w];
         pipeline.execute_into(sc, backend, dst);
         wall_service[i] = seconds_since(t0);
-        record(i, dst);
-      }
-    };
-
-    // Pipelined mode: the worker becomes two threads with private backends.
-    // The front thread owns scenario generation + FFT + beamforming of the
-    // next slot while the back thread finishes the previous one; consumed
-    // Slot_fronts cycle back through the pair's Front_pool.
-    auto work_front = [&](uint32_t w, Front_mailbox& box) {
-      if (!front_backends[w]) {
-        front_backends[w] = make_backend(opt_.backend, opt_.intra);
-      }
-      Backend& backend = *front_backends[w];
-      for (;;) {
-        const uint64_t p = cursor.fetch_add(1, std::memory_order_relaxed);
-        if (p >= exec.size()) break;
-        const uint64_t i = exec[p];
-        auto sc =
-            std::make_unique<const phy::Uplink_scenario>(verdicts[i].cfg);
-        Slot_front front = front_pools[w]->take();
-        const auto t0 = Clock::now();
-        backend.run_front_into(pipeline, *sc, front);
-        const double dt = seconds_since(t0);
-        box.push(Front_item{i, std::move(sc), std::move(front), dt});
-      }
-      box.close();
-    };
-    auto work_back = [&](uint32_t w, Front_mailbox& box) {
-      if (!back_backends[w]) {
-        back_backends[w] = make_backend(opt_.backend, opt_.intra);
-      }
-      Backend& backend = *back_backends[w];
-      while (auto item = box.pop()) {
-        const auto t0 = Clock::now();
-        Slot_result& dst = retain ? slots[item->index] : scratch[w];
-        backend.run_back_into(pipeline, *item->sc, item->front, dst);
-        wall_service[item->index] = item->front_seconds + seconds_since(t0);
-        record(item->index, dst);
-        front_pools[w]->put(std::move(item->front));
+        stats[i] = {dst.evm, dst.ber, dst.sigma2_hat, dst.total_cycles()};
       }
     };
 
     const auto t0 = Clock::now();
     if (!exec.empty() && !opt_.virtual_only) {
-      if (pipelined) {
-        std::vector<Front_mailbox> boxes(workers);
-        std::vector<std::thread> pool;
-        pool.reserve(2 * workers - 1);
-        for (uint32_t w = 0; w < workers; ++w) {
-          pool.emplace_back([&, w] { work_front(w, boxes[w]); });
-          // The calling thread serves as worker 0's back half.
-          if (w > 0) pool.emplace_back([&, w] { work_back(w, boxes[w]); });
-        }
-        work_back(0, boxes[0]);
-        for (auto& t : pool) t.join();
-      } else if (workers <= 1) {
-        work_whole(0);
+      if (workers <= 1) {
+        work(0);
       } else {
         std::vector<std::thread> pool;
         pool.reserve(workers);
         for (uint32_t w = 0; w < workers; ++w) {
-          pool.emplace_back([&, w] { work_whole(w); });
+          pool.emplace_back([&, w] { work(w); });
         }
         for (auto& t : pool) t.join();
       }
@@ -492,7 +348,6 @@ Schedule_result Slot_scheduler::run(const Slot_source& src) const {
   out.placement = opt_.placement;
   out.overload = opt_.overload;
   out.workers = workers_used;
-  out.pipelined = pipelined;
   out.total_slots = n_jobs;
   out.wall_seconds = wall_seconds;
   out.shards.resize(n_shards);
@@ -717,12 +572,12 @@ std::string Schedule_result::str() const {
   char footer[448];
   std::snprintf(
       footer, sizeof footer,
-      "%llu slots from '%s' on the %s backend, %u worker%s%s: %.3f s wall, "
+      "%llu slots from '%s' on the %s backend, %u worker%s: %.3f s wall, "
       "%.1f slots/s\nvirtual clock: makespan %.3f ms, latency p50/p99/p999 "
       "%.1f/%.1f/%.1f us, %llu/%llu deadline misses\n",
       static_cast<unsigned long long>(total_slots), source.c_str(),
-      backend.c_str(), workers, workers == 1 ? "" : "s",
-      pipelined ? " (stage-pipelined)" : "", wall_seconds, slots_per_second(),
+      backend.c_str(), workers, workers == 1 ? "" : "s", wall_seconds,
+      slots_per_second(),
       1e3 * virtual_makespan_s, 1e6 * latency.percentile(0.50),
       1e6 * latency.percentile(0.99), 1e6 * latency.percentile(0.999),
       static_cast<unsigned long long>(deadline_misses),

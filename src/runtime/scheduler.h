@@ -11,12 +11,12 @@
 //                     (traffic.h) generates stochastic multi-cell uplink
 //                     traffic with Poisson arrivals.
 //   Slot_scheduler    a worker pool pulling job indices from an atomic
-//                     cursor, one private Backend per worker;
-//                     optionally stage-pipelined: each
-//                     worker becomes a front thread (OFDM FFT + beamforming
-//                     of slot n+1) and a back thread (CHE/NE/LMMSE MIMO of
-//                     slot n) connected by a double buffer, composing with
-//                     the "parallel" backend's intra-slot split.
+//                     cursor: each worker is one thread running whole slots
+//                     on its private Backend, one after another.  The two
+//                     host-parallel levels are these slot workers
+//                     (`workers`) and the intra-slot workers inside each
+//                     "parallel" / "fixed" backend (`intra`), the knob that
+//                     cuts single-slot latency.
 //   sharding          the serving engine runs as `shards` scheduler shards,
 //                     each owning one virtual cluster's worth of service
 //                     units and its own FCFS virtual-clock queue.  Source
@@ -42,9 +42,9 @@
 // index order, and the virtual clocks are independent of host scheduling -
 // so the slot results, group/shard roll-ups, admission counters, latency
 // histograms and deadline-miss counts are bit-identical for any
-// (workers, intra) combination, with stage pipelining on or off, on every
-// backend.  Wall-clock throughput and the measured per-slot service
-// histogram are the only host-dependent outputs.
+// (workers, intra) combination on every backend.  Wall-clock throughput and
+// the measured per-slot service histogram are the only host-dependent
+// outputs.
 #ifndef PUSCHPOOL_RUNTIME_SCHEDULER_H
 #define PUSCHPOOL_RUNTIME_SCHEDULER_H
 
@@ -81,29 +81,17 @@ class Slot_source {
 };
 
 struct Scheduler_options {
-  uint32_t workers = 0;  // slot-level workers; 0 = hardware_concurrency
+  // Slot-level worker threads on every backend ("sim": one single-threaded
+  // simulated machine each); 0 = hardware_concurrency.
+  uint32_t workers = 0;
   std::string backend = "reference";  // make_backend() name
   // Intra-slot workers per backend instance ("parallel" and "fixed";
   // 0 = hardware_concurrency).  Total threads ~= workers * intra, so keep
   // workers * intra <= host cores when composing both levels.
   uint32_t intra = 1;
-  // Stage-pipelined execution: overlap the front half of slot n+1 with the
-  // back half of slot n (2 threads per worker, double-buffered hand-off).
-  // Silently ignored when the backend cannot split (Backend::can_split());
-  // the effective setting is reported in Schedule_result::pipelined.
-  bool pipelined = false;
   arch::Cluster_config cluster = arch::Cluster_config::minipool();
-  Uplink_options uplink;   // preset knobs (FFT gangs, Cholesky batching)
+  Uplink_options uplink;   // preset knobs (Cholesky batching)
   bool keep_slots = true;  // retain per-slot results (the bit-exact surface)
-
-  // Host threads driving simulated machines when the backend is "sim"
-  // (`--sim-shards` on the CLIs): overrides `workers` so N independent
-  // single-threaded sim::Machine instances run concurrently, one slot each.
-  // Purely a wall-clock knob - slot results merge in index order, so every
-  // shard count is bit-identical (DETERMINISM.md §5; the differential suite
-  // pins 1/2/8).  0 = defer to `workers`.  Ignored on host backends, which
-  // have their own worker/intra levels.
-  uint32_t sim_shards = 0;
 
   // Virtual-time service model: simulated cycles (cycle-accurate backends)
   // or the analytic MAC model (host backends), scaled to seconds at this
@@ -242,7 +230,6 @@ struct Schedule_result {
   std::string placement;  // effective placement policy name
   std::string overload;   // effective overload policy name
   uint32_t workers = 0;
-  bool pipelined = false;  // effective setting (false if backend can't split)
   uint64_t total_slots = 0;
   uint64_t total_cycles = 0;
 
@@ -258,8 +245,8 @@ struct Schedule_result {
   // Whole-surface equality of everything the determinism contract covers
   // (groups, shards, admission counters, latency histograms, deadline
   // counters, virtual makespan, cycle/slot totals) - deliberately excluding
-  // the host-dependent fields (wall clock, wall-service histogram, workers,
-  // pipelined).  This is the single definition the worker-invariance
+  // the host-dependent fields (wall clock, wall-service histogram,
+  // workers).  This is the single definition the worker-invariance
   // re-checks use (bench_serve_latency, tests/test_scheduler.cpp), so a new
   // deterministic field only needs adding here.
   bool deterministic_equal(const Schedule_result& o) const;

@@ -3,7 +3,7 @@
 // The load-bearing guarantee (docs/DETERMINISM.md section 7): the fixed-point
 // host backend is **bit-identical to the sim backend** - same payload bits,
 // same EVM/BER doubles, same sigma2_hat - across the scenario grid, at any
-// intra-slot worker count, through the split/pipelined path, and with the
+// intra-slot worker count, through the split front/back path, and with the
 // SIMD kernels on or off.  Unlike the parallel/reference pair (which shares
 // double-precision models), fixed and sim share only the Q15 value chain, so
 // these tests pin the whole src/fixed/ subsystem against the simulator.
@@ -31,7 +31,6 @@ TEST(FixedBackend, MakeBackendByNameAndWorkerCount) {
   const auto b = runtime::make_backend("fixed", 3);
   EXPECT_EQ(b->name(), "fixed");
   EXPECT_FALSE(b->cycle_accurate());
-  EXPECT_TRUE(b->can_split());
   EXPECT_EQ(static_cast<runtime::Fixed_backend*>(b.get())->workers(), 3u);
   runtime::Fixed_backend all(0);
   EXPECT_GE(all.workers(), 1u);
@@ -173,8 +172,8 @@ TEST(FixedBackend, SymbolBatchedMimoBitIdenticalToSim) {
 }
 
 TEST(FixedBackend, SplitContractMatchesWholeSlot) {
-  // run_back_into(run_front_into()) == run_slot_into - the contract stage
-  // pipelining rests on (scheduler.h).
+  // run_back_into(run_front_into()) == run_slot_into - the contract
+  // run_slot_into and perfbench's per-half timing rest on (backend.h).
   phy::Uplink_config cfg;
   cfg.n_sc = 64;
   cfg.fft_size = 64;
@@ -202,8 +201,8 @@ TEST(FixedBackend, SplitContractMatchesWholeSlot) {
 }
 
 TEST(FixedBackend, PipelinedSchedulerBitIdenticalToSim) {
-  // The full composition the issue demands: Slot_scheduler with stage
-  // pipelining on, the fixed backend underneath, against the simulated run.
+  // The full composition: Slot_scheduler with slot workers and intra-slot
+  // workers on the fixed backend, against the simulated run.
   runtime::Sweep_grid grid;
   grid.fft_sizes = {16};
   grid.snr_db = {15, 25};
@@ -219,9 +218,7 @@ TEST(FixedBackend, PipelinedSchedulerBitIdenticalToSim) {
   fix_opt.backend = "fixed";
   fix_opt.workers = 2;
   fix_opt.intra = 2;
-  fix_opt.pipelined = true;
   const auto fix = runtime::Slot_scheduler(fix_opt).run(source);
-  EXPECT_TRUE(fix.pipelined);  // the fixed backend can split
   ASSERT_EQ(fix.slots.size(), sim.slots.size());
   for (size_t i = 0; i < sim.slots.size(); ++i) {
     expect_slot_bits_equal(sim.slots[i], fix.slots[i],

@@ -2,8 +2,8 @@
 #include <gtest/gtest.h>
 
 #include "common/table.h"
-#include "pusch/use_case_rollup.h"
 #include "pusch/complexity.h"
+#include "runtime/presets.h"
 
 namespace {
 
@@ -58,13 +58,13 @@ TEST(Complexity, MimoShareGrowsWithUes) {
 
 TEST(ChainSim, MiniUseCaseStructure) {
   // A scaled-down use case runs end to end and produces a sane roll-up.
-  pusch::Chain_config cfg;
+  runtime::Use_case_options cfg;
   cfg.cluster = arch::Cluster_config::minipool();
   cfg.dims.fft_size = 256;
   cfg.dims.n_rx = 4;
   cfg.dims.n_beams = 4;
   cfg.dims.n_ue = 4;
-  const auto res = pusch::run_use_case(cfg);
+  const auto res = runtime::run_use_case(cfg);
   ASSERT_EQ(res.stages.size(), 3u);
   EXPECT_GT(res.parallel_cycles, 0u);
   EXPECT_GT(res.serial_cycles, res.parallel_cycles);

@@ -73,7 +73,6 @@ TEST(HostOracle, ReferenceIsOneWorkerParallelUnderItsOwnName) {
     const auto b = runtime::make_backend("reference", intra);
     EXPECT_EQ(b->name(), "reference");
     EXPECT_FALSE(b->cycle_accurate());
-    EXPECT_TRUE(b->can_split());
     const auto* par = dynamic_cast<const runtime::Parallel_backend*>(b.get());
     ASSERT_NE(par, nullptr);
     EXPECT_EQ(par->workers(), 1u);

@@ -23,8 +23,8 @@
 #include "kernels/fft.h"
 #include "kernels/gram.h"
 #include "kernels/mmm.h"
-#include "pusch/use_case_rollup.h"
 #include "runtime/backend.h"
+#include "runtime/presets.h"
 
 namespace {
 
@@ -209,13 +209,13 @@ TEST(PipelineEquivalence, UplinkPresetMatchesLegacyChainExactly) {
 // ---- use-case roll-up: preset == direct kernel-class measurement ---------
 
 TEST(PipelineEquivalence, UseCasePresetMatchesDirectKernelMeasurement) {
-  pusch::Chain_config cfg;
+  runtime::Use_case_options cfg;
   cfg.cluster = arch::Cluster_config::minipool();
   cfg.dims.fft_size = 256;
   cfg.dims.n_rx = 4;
   cfg.dims.n_beams = 4;
   cfg.dims.n_ue = 4;
-  const auto res = pusch::run_use_case(cfg);
+  const auto res = runtime::run_use_case(cfg);
   ASSERT_EQ(res.stages.size(), 3u);
 
   // FFT stage: the preset must pick 1 gang x 4 reps on 16 cores and scale
@@ -262,14 +262,14 @@ TEST(PipelineEquivalence, UseCasePresetMatchesDirectKernelMeasurement) {
 }
 
 TEST(PipelineEquivalence, MeasureIsDeterministic) {
-  pusch::Chain_config cfg;
+  runtime::Use_case_options cfg;
   cfg.cluster = arch::Cluster_config::minipool();
   cfg.dims.fft_size = 256;
   cfg.dims.n_rx = 4;
   cfg.dims.n_beams = 4;
   cfg.dims.n_ue = 4;
-  const auto a = pusch::run_use_case(cfg);
-  const auto b = pusch::run_use_case(cfg);
+  const auto a = runtime::run_use_case(cfg);
+  const auto b = runtime::run_use_case(cfg);
   ASSERT_EQ(a.stages.size(), b.stages.size());
   for (size_t i = 0; i < a.stages.size(); ++i) {
     EXPECT_EQ(a.stages[i].rep.cycles, b.stages[i].rep.cycles);

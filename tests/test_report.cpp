@@ -177,5 +177,26 @@ TEST(Report, OverloadFromCliValidatesAgainstTheRegistry) {
               "registered: off drop queue degrade");
 }
 
+TEST(Report, CliRejectsFlagsNoCallAskedAbout) {
+  const char* args[] = {"prog", "--workers", "2", "--verbose", "--wrokers",
+                        "3"};
+  const common::Cli cli(6, const_cast<char**>(args));
+  EXPECT_EQ(cli.get_u32("--workers", 0), 2u);
+  EXPECT_FALSE(cli.has("--list"));  // asked about, absent: still known
+  EXPECT_TRUE(cli.has("--verbose"));
+  EXPECT_EXIT(cli.reject_unknown(), ::testing::ExitedWithCode(2),
+              "unknown flag '--wrokers'");
+  EXPECT_EQ(cli.get_u32("--wrokers", 0), 3u);
+  cli.reject_unknown();  // every flag has now been asked about
+}
+
+TEST(Report, SlotDomainCapsUesAtTheBeamCount) {
+  check_slot_domain("reference", {64}, {1, 4}, 4, {30.0});  // in domain
+  EXPECT_EXIT(check_slot_domain("reference", {64}, {8}, 4, {30.0}),
+              ::testing::ExitedWithCode(2),
+              "bad UE count 8 for --ue with 4 beams "
+              "\\(1..n_beams = 1..4\\)");
+}
+
 }  // namespace
 }  // namespace pp::bench

@@ -15,7 +15,7 @@
 //   HARQ surface  a failure-rich fading mix with the retransmission loop
 //                 closed, compared within each arithmetic family (double:
 //                 reference vs. parallel, Q15: fixed vs. sim) and across
-//                 the worker / intra / pipelined / sim-shards ladder.
+//                 the worker / intra ladder, sim included.
 //
 // Both use analytic_service: the predictor clock is the one service model
 // every backend shares (simulated cycles are a legitimately different
@@ -142,14 +142,13 @@ TEST(ScenarioParity, WorkerLadderIsInvariantOnTheHarqSurface) {
   EXPECT_GT(serial.harq_recovered + serial.harq_exhausted, 0u);
   EXPECT_GT(serial.dropped, 0u);
 
-  for (const uint32_t workers : {2u, 8u}) {
-    for (const bool pipelined : {false, true}) {
-      Scheduler_options other = opt;
-      other.workers = workers;
-      other.pipelined = pipelined;
-      EXPECT_TRUE(serial.deterministic_equal(Slot_scheduler(other).run(src)))
-          << workers << " workers, pipelined=" << pipelined;
-    }
+  // Each count runs twice: a repeat at the same count would catch a result
+  // that depends on how the workers interleave.
+  for (const uint32_t workers : {2u, 2u, 8u, 8u}) {
+    Scheduler_options other = opt;
+    other.workers = workers;
+    EXPECT_TRUE(serial.deterministic_equal(Slot_scheduler(other).run(src)))
+        << workers << " workers";
   }
 }
 
@@ -162,7 +161,6 @@ TEST(ScenarioParity, DoubleFamilyAgreesOnTheHarqSurface) {
   par.backend = "parallel";
   par.intra = 2;
   par.workers = 2;
-  par.pipelined = true;
   const auto res = Slot_scheduler(par).run(src);
   // Same arithmetic family: the full deterministic surface matches, not
   // just the scenario subset.
@@ -179,7 +177,7 @@ TEST(ScenarioParity, Q15FamilyAgreesOnTheHarqSurface) {
 
   Scheduler_options sim = opt;
   sim.backend = "sim";
-  sim.sim_shards = 2;
+  sim.workers = 2;
   const auto simulated = Slot_scheduler(sim).run(src);
   // The host Q15 backend and the cycle-accurate simulator decode the same
   // bits, so with the shared analytic service clock the whole scenario
@@ -192,13 +190,13 @@ TEST(ScenarioParity, SimShardLadderIsInvariantOnTheHarqSurface) {
   const Traffic_source src(harq_mix(8));
   Scheduler_options opt = harq_options();
   opt.backend = "sim";
-  opt.sim_shards = 1;
+  opt.workers = 1;
   const auto one = Slot_scheduler(opt).run(src);
-  for (const uint32_t shards : {2u, 8u}) {
+  for (const uint32_t workers : {2u, 8u}) {
     Scheduler_options other = opt;
-    other.sim_shards = shards;
+    other.workers = workers;
     EXPECT_TRUE(one.deterministic_equal(Slot_scheduler(other).run(src)))
-        << shards << " sim shards";
+        << workers << " sim workers";
   }
 }
 

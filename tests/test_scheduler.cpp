@@ -6,7 +6,7 @@
 //     count;
 //   - a fixed-seed Traffic_source run produces identical aggregate reports
 //     (slot results, latency histograms, deadline-miss counts) at any
-//     worker count and with stage pipelining on or off;
+//     worker count;
 //   - the stage-split backend entry points (run_front_into +
 //     run_back_into) are bit-identical to run_slot_into on every host
 //     backend.
@@ -136,21 +136,13 @@ TEST(Scheduler, TrafficAggregatesInvariantAcrossWorkersAndPipelining) {
   const Traffic_source src(small_traffic());
   Scheduler_options opt;
   opt.workers = 1;
-  opt.pipelined = false;
   const auto serial = Slot_scheduler(opt).run(src);
-  EXPECT_FALSE(serial.pipelined);
   EXPECT_GT(serial.deadline_misses, 0u);  // the tight budget must bite
   EXPECT_LT(serial.deadline_misses, serial.deadline_slots);
 
-  struct Case {
-    uint32_t workers;
-    bool pipelined;
-  };
-  for (const Case c : {Case{2, false}, Case{1, true}, Case{3, true}}) {
-    opt.workers = c.workers;
-    opt.pipelined = c.pipelined;
+  for (const uint32_t workers : {2u, 1u, 3u}) {
+    opt.workers = workers;
     const auto res = Slot_scheduler(opt).run(src);
-    EXPECT_EQ(res.pipelined, c.pipelined);  // reference backend can split
     expect_slots_identical(res.slots, serial.slots);
     expect_aggregates_identical(res, serial);
   }
@@ -164,9 +156,7 @@ TEST(Scheduler, SimBackendDeadlineAccountingWorkerInvariant) {
   opt.workers = 1;
   const auto serial = Slot_scheduler(opt).run(src);
   opt.workers = 2;
-  opt.pipelined = true;  // must silently fall back: sim cannot split
   const auto parallel = Slot_scheduler(opt).run(src);
-  EXPECT_FALSE(parallel.pipelined);
   EXPECT_GT(serial.total_cycles, 0u);
   expect_slots_identical(parallel.slots, serial.slots);
   expect_aggregates_identical(parallel, serial);
@@ -174,7 +164,8 @@ TEST(Scheduler, SimBackendDeadlineAccountingWorkerInvariant) {
 
 TEST(Scheduler, SplitBackendsMatchRunSlot) {
   // run_back_into(run_front_into()) == run_slot_into on every host
-  // backend - the bit contract stage pipelining rests on.
+  // backend - the bit contract run_slot_into and perfbench's per-half
+  // timing rest on.
   const auto cluster = arch::Cluster_config::minipool();
   const auto pipeline = runtime::uplink_pipeline(cluster, {});
   const phy::Uplink_scenario sc(
@@ -182,7 +173,6 @@ TEST(Scheduler, SplitBackendsMatchRunSlot) {
   for (const char* name : {"reference", "parallel", "fixed"}) {
     auto whole = runtime::make_backend(name, 2);
     auto split = runtime::make_backend(name, 2);
-    ASSERT_TRUE(whole->can_split()) << name;
     runtime::Slot_result a, b;
     whole->run_slot_into(pipeline, sc, a);
     runtime::Slot_front front;
@@ -193,7 +183,6 @@ TEST(Scheduler, SplitBackendsMatchRunSlot) {
     EXPECT_EQ(a.ber, b.ber) << name;
     EXPECT_EQ(a.sigma2_hat, b.sigma2_hat) << name;
   }
-  EXPECT_FALSE(runtime::make_backend("sim")->can_split());
 }
 
 TEST(Scheduler, AnalyticServiceModelIsPureAndClockScaled) {
@@ -348,16 +337,12 @@ TEST(Scheduler, ShardedServingInvariantAcrossWorkersPipeliningAndIntra) {
   struct Case {
     uint32_t workers;
     uint32_t intra;
-    bool pipelined;
     const char* backend;
   };
-  for (const Case c : {Case{2, 1, false, "reference"},
-                       Case{8, 1, false, "reference"},
-                       Case{3, 1, true, "reference"},
-                       Case{2, 2, true, "parallel"}}) {
+  for (const Case c : {Case{2, 1, "reference"}, Case{8, 1, "reference"},
+                       Case{3, 1, "reference"}, Case{2, 2, "parallel"}}) {
     opt.workers = c.workers;
     opt.intra = c.intra;
-    opt.pipelined = c.pipelined;
     opt.backend = c.backend;
     const auto res = Slot_scheduler(opt).run(src);
     // "parallel" is bit-identical to "reference", so the full aggregate
@@ -374,7 +359,6 @@ TEST(Scheduler, ShardedServingInvariantAcrossWorkersPipeliningAndIntra) {
   // analytic predictor and must be bit-identical across host backends.
   opt.workers = 2;
   opt.intra = 1;
-  opt.pipelined = false;
   opt.backend = "fixed";
   const auto fixed = Slot_scheduler(opt).run(src);
   EXPECT_TRUE(fixed.latency == serial.latency);

@@ -6,8 +6,8 @@
 // through the ring.  These tests run every kernel of the use-case roll-up
 // and the full functional uplink chain both ways and assert cycles, IPC,
 // per-kernel stall fractions and recovered payload bits are bit-identical,
-// across the mempool/minipool/terapool presets and 1/2/8 sim shards
-// (docs/DETERMINISM.md §5).
+// across the mempool/minipool/terapool presets and 1/2/8 simulated
+// machines running slots concurrently (docs/DETERMINISM.md §5).
 //
 // The reference loop is reached two ways on purpose: Measure_options::
 // reference_loop for the roll-up engine, and the SIM_REFERENCE_LOOP
@@ -205,9 +205,9 @@ TEST(SimDifferential, UplinkChainMempoolMatchesReferenceLoop) {
                     run_chain(cluster, 256, true));
 }
 
-// ---- sim shards: slot-level host threading is invisible ------------------
+// ---- sim slot workers: slot-level host threading is invisible -------------
 
-runtime::Schedule_result sweep_with_shards(uint32_t sim_shards) {
+runtime::Schedule_result sweep_with_workers(uint32_t workers) {
   runtime::Sweep_grid grid;
   grid.fft_sizes = {64};
   grid.ue_counts = {2};
@@ -218,17 +218,17 @@ runtime::Schedule_result sweep_with_shards(uint32_t sim_shards) {
   runtime::Scheduler_options opt;
   opt.backend = "sim";
   opt.cluster = arch::Cluster_config::minipool();
-  opt.sim_shards = sim_shards;
+  opt.workers = workers;  // one single-threaded simulated machine each
   opt.keep_slots = true;
   return runtime::Slot_scheduler(opt).run(runtime::Grid_source(grid));
 }
 
 TEST(SimDifferential, SweepInvariantAcrossSimShards) {
-  const auto one = sweep_with_shards(1);
+  const auto one = sweep_with_workers(1);
   ASSERT_EQ(one.slots.size(), 4u);
   for (const uint32_t shards : {2u, 8u}) {
     SCOPED_TRACE(shards);
-    const auto sharded = sweep_with_shards(shards);
+    const auto sharded = sweep_with_workers(shards);
     ASSERT_EQ(sharded.slots.size(), one.slots.size());
     for (size_t i = 0; i < one.slots.size(); ++i) {
       SCOPED_TRACE(i);

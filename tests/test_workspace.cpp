@@ -279,7 +279,7 @@ TEST(WorkspaceBackend, ReusedWorkspaceResultsBitIdenticalToFreshBackend) {
 }
 
 TEST(WorkspaceBackend, RecycledSlotFrontBitIdenticalToWholeSlot) {
-  // The scheduler's stage pipeline recycles Slot_fronts across slots; a
+  // run_slot_into recycles the backend's own Slot_front across slots; a
   // recycled front (stale beam grid from another shape) must carry exactly
   // the same values as a fresh one, and the split halves must reproduce
   // run_slot_into bit for bit.
@@ -289,7 +289,6 @@ TEST(WorkspaceBackend, RecycledSlotFrontBitIdenticalToWholeSlot) {
       runtime::uplink_pipeline(arch::Cluster_config::minipool());
   for (const char* name : {"reference", "parallel", "fixed"}) {
     const auto backend = runtime::make_backend(name, 2);
-    ASSERT_TRUE(backend->can_split()) << name;
     runtime::Slot_result whole_small, whole_big;
     backend->run_slot_into(pipeline, small, whole_small);
     backend->run_slot_into(pipeline, big, whole_big);
@@ -355,8 +354,8 @@ runtime::Traffic_config summary_traffic() {
 TEST(WorkspaceScheduler, SummaryModeMatchesKeepSlots) {
   // keep_slots=false routes every slot into one reused per-worker
   // Slot_result instead of retaining all of them; the aggregates must be
-  // bit-identical to the retaining run, at any worker count, pipelined or
-  // not.
+  // bit-identical to the retaining run, at any worker count, run after
+  // run.
   const runtime::Traffic_source source(summary_traffic());
   runtime::Scheduler_options opt;
   opt.backend = "fixed";
@@ -365,20 +364,17 @@ TEST(WorkspaceScheduler, SummaryModeMatchesKeepSlots) {
   const auto retained = runtime::Slot_scheduler(opt).run(source);
   EXPECT_EQ(retained.slots.size(), source.n_slots());
 
-  for (const uint32_t workers : {1u, 3u}) {
-    for (const bool pipelined : {false, true}) {
-      runtime::Scheduler_options sopt;
-      sopt.backend = "fixed";
-      sopt.keep_slots = false;
-      sopt.workers = workers;
-      sopt.intra = 2;  // intra-slot pool under the per-worker checkout
-      sopt.pipelined = pipelined;
-      const auto summary = runtime::Slot_scheduler(sopt).run(source);
-      EXPECT_TRUE(summary.slots.empty())
-          << "summary mode must not retain per-slot results";
-      EXPECT_TRUE(retained.deterministic_equal(summary))
-          << "workers " << workers << " pipelined " << pipelined;
-    }
+  for (const uint32_t workers : {1u, 1u, 3u, 3u}) {
+    runtime::Scheduler_options sopt;
+    sopt.backend = "fixed";
+    sopt.keep_slots = false;
+    sopt.workers = workers;
+    sopt.intra = 2;  // intra-slot pool under the per-worker checkout
+    const auto summary = runtime::Slot_scheduler(sopt).run(source);
+    EXPECT_TRUE(summary.slots.empty())
+        << "summary mode must not retain per-slot results";
+    EXPECT_TRUE(retained.deterministic_equal(summary))
+        << "workers " << workers;
   }
 }
 
