@@ -18,12 +18,16 @@
 // --backend all adds the parallel and fixed backends to the cross-check.
 //
 //   ./examples/pusch_uplink_e2e [--arch mempool|terapool] [--ue N]
-//       [--qam 16] [--backend sim|reference|parallel|fixed|both|all]
-//       [--intra N] [--chol-batch N] [--list]
+//       [--qam 4|16|64|256] [--backend sim|reference|parallel|fixed|both|all]
+//       [--intra N] [--chol-batch N] [--seed N] [--channel flat|tdl-a|tdl-c]
+//       [--doppler HZ] [--list]
 //
 // --list prints the registered clusters, backends, pipeline presets and
 // registry kernels instead of running; unknown --arch/--backend names
-// error with the same lists.
+// error with the same lists.  A flag value outside its domain (--qam other
+// than 4/16/64/256, a --chol-batch that does not divide the data symbols,
+// a --ue outside a selected backend's slot domain) or an unknown flag
+// exits 2 with a message naming the valid values.
 //
 // The scenario is a scaled-down slot (256-pt grid, 16 antennas, 8 beams) so
 // the example runs in seconds; bench_fig9c_usecase covers the full-size
@@ -50,32 +54,32 @@ int main(int argc, char** argv) {
   cfg.fft_size = 256;
   cfg.n_rx = 16;
   cfg.n_beams = 8;
-  cfg.n_ue = static_cast<uint32_t>(cli.get_int("--ue", 2));
+  cfg.n_ue = cli.get_count("--ue", 2);
   cfg.n_symb = 6;
   cfg.n_pilot_symb = 2;
   cfg.sigma2 = 1e-7;
   cfg.ue_power = 0.08;
-  cfg.seed = static_cast<uint64_t>(cli.get_int("--seed", 2023));
+  cfg.seed = cli.get_u32("--seed", 2023);
   // Fading profile (flat | tdl-a | tdl-c) with optional Doppler evolution.
   cfg.profile = bench::channel_from_cli(cli);
   cfg.doppler_hz = cli.get_double("--doppler", 0.0);
-  switch (cli.get_int("--qam", 16)) {
-    case 4: cfg.qam = phy::Qam::qpsk; break;
-    case 64: cfg.qam = phy::Qam::qam64; break;
-    case 256: cfg.qam = phy::Qam::qam256; break;
-    default: cfg.qam = phy::Qam::qam16; break;
+  const uint32_t qam = cli.get_u32("--qam", 16);
+  if (qam != 4 && qam != 16 && qam != 64 && qam != 256) {
+    std::fprintf(stderr, "bad value %u for --qam (4|16|64|256)\n", qam);
+    return 2;
   }
-
-  std::printf("scenario: %u sub-carriers, %u antennas -> %u beams, %u UEs, "
-              "%u symbols (%u pilot), %u-QAM\n",
-              cfg.n_sc, cfg.n_rx, cfg.n_beams, cfg.n_ue, cfg.n_symb,
-              cfg.n_pilot_symb, static_cast<uint32_t>(cfg.qam));
-  const phy::Uplink_scenario sc(cfg);
+  cfg.qam = static_cast<phy::Qam>(qam);
 
   runtime::Uplink_options opt;
-  opt.chol_symb_batch =
-      static_cast<uint32_t>(cli.get_int("--chol-batch", 1));
-  const auto pipeline = runtime::uplink_pipeline(cluster, opt);
+  opt.chol_symb_batch = cli.get_count("--chol-batch", 1);
+  const uint32_t n_data = cfg.n_symb - cfg.n_pilot_symb;
+  if (n_data % opt.chol_symb_batch != 0) {
+    std::fprintf(stderr,
+                 "bad value %u for --chol-batch (a divisor of the %u data "
+                 "symbols)\n",
+                 opt.chol_symb_batch, n_data);
+    return 2;
+  }
 
   const std::string which = cli.get("--backend", "both");
   if (which != "sim" && which != "reference" && which != "parallel" &&
@@ -86,14 +90,30 @@ int main(int argc, char** argv) {
                  which.c_str());
     return 2;
   }
+  auto selected = [&](const std::string& name) {
+    return which == name || which == "all" ||
+           (which == "both" && (name == "sim" || name == "reference"));
+  };
+  const char* const backends[] = {"reference", "sim", "parallel", "fixed"};
+  for (const char* name : backends) {
+    if (selected(name)) {
+      bench::check_slot_domain(name, {cfg.fft_size}, {cfg.n_ue}, cfg.n_beams,
+                               {});
+    }
+  }
   const uint32_t intra = cli.get_u32("--intra", 1);
+  cli.reject_unknown();
+
+  std::printf("scenario: %u sub-carriers, %u antennas -> %u beams, %u UEs, "
+              "%u symbols (%u pilot), %u-QAM\n",
+              cfg.n_sc, cfg.n_rx, cfg.n_beams, cfg.n_ue, cfg.n_symb,
+              cfg.n_pilot_symb, static_cast<uint32_t>(cfg.qam));
+  const phy::Uplink_scenario sc(cfg);
+  const auto pipeline = runtime::uplink_pipeline(cluster, opt);
+
   std::vector<runtime::Slot_result> results;
-  for (const auto* name : {"reference", "sim", "parallel", "fixed"}) {
-    const bool selected =
-        which == name || which == "all" ||
-        (which == "both" &&
-         (std::string(name) == "sim" || std::string(name) == "reference"));
-    if (!selected) continue;
+  for (const char* name : backends) {
+    if (!selected(name)) continue;
     auto backend = runtime::make_backend(name, intra);
     results.push_back(pipeline.execute(sc, *backend));
     const auto& res = results.back();

@@ -6,7 +6,8 @@
 # (pusch_serve, slot x intra-slot workers and --list), the fading channel
 # profiles and HARQ loop (TDL serve + bench_scenario_mix), the sharded serving
 # engine (placement + overload policies, CLI name, unknown-flag,
-# zero-count and backend slot-domain validation, bench_capacity), a
+# zero-count and backend slot-domain validation, bench_capacity), the e2e
+# example's flag validation and four-backend cross-check, a
 # markdown link check over README + docs/, a bench_all --quick pass
 # whose JSON reports are
 # validated and diffed against the committed baseline
@@ -151,6 +152,35 @@ for bad in "pusch_serve --placement random" "pusch_serve --overload shed" \
     fi
   fi
 done
+
+# pusch_uplink_e2e reads no --slots, so its cases get their own loop: with
+# reject_unknown an appended --slots would make every case exit 2 for the
+# wrong reason.  Mistyped flags, QAM orders outside 4/16/64/256, a
+# --chol-batch that does not divide the data symbols, negative or zero
+# counts and UE counts outside a selected backend's slot domain (sim solves
+# at most 4 layers; no backend serves more UEs than its 8 beams) exit 2.
+for bad in "--backnd sim" "--qam 32" "--chol-batch 3" "--chol-batch 0" \
+           "--backend reference --ue 9" "--ue -3" "--ue 0" "--seed -1" \
+           "--backend all --ue 8"; do
+  if "$BUILD_DIR"/examples/pusch_uplink_e2e $bad > /dev/null 2>&1; then
+    echo "accepted invalid flag: pusch_uplink_e2e $bad"
+    exit 1
+  else
+    status=$?
+    if [[ "$status" -ne 2 ]]; then
+      echo "exited $status (want 2): pusch_uplink_e2e $bad"
+      exit 1
+    fi
+  fi
+done
+
+echo "--- smoke: four-backend e2e cross-check + 8-layer fixed MIMO ---"
+# All four backends on one slot with equal payloads, then 8 UE layers
+# through the fixed backend's per-sub-carrier factorization at 3 workers
+# (uneven sub-carrier and item slices).
+"$BUILD_DIR"/examples/pusch_uplink_e2e --backend all > /dev/null
+"$BUILD_DIR"/examples/pusch_serve --backend fixed --ue 8 --beams 8 --intra 3 \
+    --slots 4 > /dev/null
 
 echo "--- bench_all --quick: machine-readable reports + baseline diff ---"
 # Every bench's --json output and the merged summary must parse as real

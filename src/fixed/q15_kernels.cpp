@@ -182,14 +182,12 @@ int64_t ne_partial(const cq15* y, const cq15* h,
 
 // ---- Gram + matched filter ------------------------------------------------
 
-void gram_subcarriers(const cq15* h, const cq15* y, cq15 sigma, cq15* g,
-                      cq15* rhs, uint32_t n_b, uint32_t n_l,
-                      uint32_t sc_begin, uint32_t sc_end) {
+void gram_matrix(const cq15* h, cq15 sigma, cq15* g, uint32_t n_b,
+                 uint32_t n_l, uint32_t sc_begin, uint32_t sc_end) {
   PP_CHECK(n_l <= common::max_layers,
            "gram kernel keeps one H row in registers (n_l <= max_layers)");
   for (uint32_t sc = sc_begin; sc < sc_end; ++sc) {
     const cq15* hsc = h + static_cast<size_t>(sc) * n_b * n_l;
-    const cq15* ysc = y + static_cast<size_t>(sc) * n_b;
     // Lower triangle G[i][j] = sum_b h_b[j] conj(h_b[i]); each entry is an
     // exact int64 reduction over beams, so reducing per entry matches the
     // sim kernel's per-beam interleaved order bit for bit.
@@ -213,6 +211,16 @@ void gram_subcarriers(const cq15* h, const cq15* y, cq15 sigma, cq15* g,
               common::gram_mirror(v);
         }
       }
+    }
+  }
+}
+
+void matched_filter(const cq15* h, const cq15* y, cq15* rhs, uint32_t n_b,
+                    uint32_t n_l, uint32_t sc_begin, uint32_t sc_end) {
+  for (uint32_t sc = sc_begin; sc < sc_end; ++sc) {
+    const cq15* hsc = h + static_cast<size_t>(sc) * n_b * n_l;
+    const cq15* ysc = y + static_cast<size_t>(sc) * n_b;
+    for (uint32_t i = 0; i < n_l; ++i) {
       int64_t re = 0, im = 0;
 #pragma omp simd reduction(+ : re, im)
       for (uint32_t b = 0; b < n_b; ++b) {
@@ -226,6 +234,13 @@ void gram_subcarriers(const cq15* h, const cq15* y, cq15 sigma, cq15* g,
       rhs[static_cast<size_t>(sc) * n_l + i] = cacc{re, im}.round();
     }
   }
+}
+
+void gram_subcarriers(const cq15* h, const cq15* y, cq15 sigma, cq15* g,
+                      cq15* rhs, uint32_t n_b, uint32_t n_l,
+                      uint32_t sc_begin, uint32_t sc_end) {
+  gram_matrix(h, sigma, g, n_b, n_l, sc_begin, sc_end);
+  matched_filter(h, y, rhs, n_b, n_l, sc_begin, sc_end);
 }
 
 // ---- Cholesky + solves ----------------------------------------------------

@@ -90,11 +90,21 @@ int64_t ne_partial(const cq15* y, const cq15* h,
 
 // ---- Gram + matched filter ------------------------------------------------
 
-// Regularized Gramian and matched-filter rhs for sub-carriers
-// [sc_begin, sc_end): g[(sc*n_l+i)*n_l+j] = common::gram_entry(sum_b h_b[j]
-// conj(h_b[i])), upper triangle by common::gram_mirror, and rhs[sc*n_l+i] =
-// round(sum_b y_b conj(h_b[i])), with h_b[l] = h[(sc*n_b+b)*n_l+l]
-// (n_l <= common::max_layers).
+// Regularized Gramian for sub-carriers [sc_begin, sc_end):
+// g[(sc*n_l+i)*n_l+j] = common::gram_entry(sum_b h_b[j] conj(h_b[i])),
+// upper triangle by common::gram_mirror, with h_b[l] = h[(sc*n_b+b)*n_l+l]
+// (n_l <= common::max_layers).  It depends only on the channel estimate, so
+// a slot computes it once per sub-carrier for all its data symbols.
+void gram_matrix(const cq15* h, cq15 sigma, cq15* g, uint32_t n_b,
+                 uint32_t n_l, uint32_t sc_begin, uint32_t sc_end);
+
+// Matched filter for sub-carriers [sc_begin, sc_end): rhs[sc*n_l+i] =
+// round(sum_b y_b conj(h_b[i])), y_b = y[sc*n_b+b], h_b as in gram_matrix.
+void matched_filter(const cq15* h, const cq15* y, cq15* rhs, uint32_t n_b,
+                    uint32_t n_l, uint32_t sc_begin, uint32_t sc_end);
+
+// The sim Gram kernel's whole output: gram_matrix then matched_filter over
+// the same range.
 void gram_subcarriers(const cq15* h, const cq15* y, cq15 sigma, cq15* g,
                       cq15* rhs, uint32_t n_b, uint32_t n_l,
                       uint32_t sc_begin, uint32_t sc_end);

@@ -70,15 +70,16 @@ std::vector<cd> qam_modulate(Qam q, const std::vector<uint8_t>& bits) {
   return out;
 }
 
-void qam_demodulate_into(Qam q, const std::vector<cd>& symbols,
-                         std::vector<uint8_t>& bits) {
+void qam_demodulate_range(Qam q, const std::vector<cd>& symbols, size_t i0,
+                          size_t i1, std::vector<uint8_t>& bits) {
   const uint32_t bps = qam_bits(q);
   const uint32_t half = bps / 2;
   const uint32_t levels = 1u << half;
   const double s = axis_scale(levels);
+  PP_CHECK(i0 <= i1 && i1 <= symbols.size() && bits.size() >= i1 * bps,
+           "demod range outside the symbol or bit vector");
 
-  bits.resize(symbols.size() * bps);
-  for (size_t i = 0; i < symbols.size(); ++i) {
+  for (size_t i = i0; i < i1; ++i) {
     auto slice = [&](double v) -> uint32_t {
       const double lvl = (v / s + (levels - 1)) / 2.0;
       const long r = std::lround(lvl);
@@ -93,6 +94,12 @@ void qam_demodulate_into(Qam q, const std::vector<cd>& symbols,
       bits[i * bps + half + b] = (gq >> (half - 1 - b)) & 1;
     }
   }
+}
+
+void qam_demodulate_into(Qam q, const std::vector<cd>& symbols,
+                         std::vector<uint8_t>& bits) {
+  bits.resize(symbols.size() * qam_bits(q));
+  qam_demodulate_range(q, symbols, 0, symbols.size(), bits);
 }
 
 std::vector<uint8_t> qam_demodulate(Qam q, const std::vector<cd>& symbols) {

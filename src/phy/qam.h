@@ -28,6 +28,13 @@ std::vector<uint8_t> qam_demodulate(Qam q, const std::vector<cd>& symbols);
 void qam_demodulate_into(Qam q, const std::vector<cd>& symbols,
                          std::vector<uint8_t>& bits);
 
+// Demodulate symbols [i0, i1) into bits [i0 * bps, i1 * bps) of a vector
+// already sized to at least i1 * bps, leaving every other bit untouched:
+// workers can demodulate disjoint ranges of one vector concurrently.  The
+// loop qam_demodulate_into() runs over the whole range.
+void qam_demodulate_range(Qam q, const std::vector<cd>& symbols, size_t i0,
+                          size_t i1, std::vector<uint8_t>& bits);
+
 // The constellation itself (for tests / EVM references).
 std::vector<cd> qam_constellation(Qam q);
 

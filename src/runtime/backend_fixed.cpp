@@ -7,8 +7,14 @@
 // round-trips at the same block-rescaling factors, the same NE core
 // partition, the same serial EVM order.  A change to the sim backend's
 // marshaling must be made here too (tests/test_backend_fixed.cpp pins the
-// bit-exact contract across a scenario grid, worker counts and the
-// split front/back path).
+// bit-exact contract across a scenario grid, worker counts, shape changes
+// on one backend and the split front/back path).
+//
+// The loop structure is free to differ where the values cannot: the
+// round-trips run per element inside the parallel dispatches, and the MIMO
+// stage factors G = H^H H + sigma2 I once per sub-carrier where the sim
+// backend factors it once per launch batch of data symbols - the same
+// inputs through the same q15_chain.h steps give the same factor.
 //
 // All marshaling staging lives in the backend's slot workspaces
 // (grow-then-stabilize): after the first slot of a shape, a run allocates
@@ -142,24 +148,44 @@ void Fixed_backend::run_back_into(const Pipeline& p,
   mirror_sim_stage_runs(p, cfg, out);
 
   // ---- channel estimation on the pilot symbols ------------------------
-  if (pilots_q_.size() < n_l) pilots_q_.resize(n_l);  // grow-only outers
-  if (y_sep_q_.size() < n_l) y_sep_q_.resize(n_l);
-  for (uint32_t l = 0; l < n_l; ++l) {
-    quantize_into(sc.pilot(l), 1.0, pilots_q_[l]);
-    quantize_into(sc.pilot_obs_beam(l), s_che, y_sep_q_[l]);
-  }
+  // One pass per sub-carrier slice: quantize the slice's pilots, separated
+  // pilot observations and first pilot-symbol beam rows, estimate its
+  // channel rows, then dequantize each estimate and requantize it for NE
+  // (x s_est) and for the MIMO stage (x 1.0).  Every step is elementwise
+  // and stays within the slice, so no barrier is needed and the values are
+  // those of the sim backend's whole-buffer round trips.
   const size_t h_elems = static_cast<size_t>(n) * n_b * n_l;
-  common::ws_grow(h_q_, h_elems);
-  common::ws_grow(h_hat_, h_elems);  // [sc][b][l]
+  common::ws_shape_rows(pilots_q_, n_l, n);
+  common::ws_shape_rows(y_sep_q_, n_l, static_cast<size_t>(n) * n_b);
+  common::ws_grow(y_est_, static_cast<size_t>(n) * n_b);
+  common::ws_grow(h_q_, h_elems);  // [sc][b][l]
+  common::ws_grow(h_est_, h_elems);
+  common::ws_grow(gh_q_, h_elems);
+  const std::span<const cd> beams0 = beams.row(0);
   pool_.run([&](uint32_t w) {
     const auto [lo, hi] = Thread_pool::slice(n, w, workers);
+    const size_t r0 = static_cast<size_t>(lo) * n_b;
+    const size_t r1 = static_cast<size_t>(hi) * n_b;
+    for (uint32_t l = 0; l < n_l; ++l) {
+      const std::vector<cd>& pilot = sc.pilot(l);
+      const std::vector<cd>& obs = sc.pilot_obs_beam(l);
+      for (uint64_t i = lo; i < hi; ++i) {
+        pilots_q_[l][i] = common::to_cq15(pilot[i] * 1.0);
+      }
+      for (size_t i = r0; i < r1; ++i) {
+        y_sep_q_[l][i] = common::to_cq15(obs[i] * s_che);
+      }
+    }
+    for (size_t i = r0; i < r1; ++i) {
+      y_est_[i] = common::to_cq15(beams0[i] * s_est);
+    }
     fixed::che_subcarriers(y_sep_q_, pilots_q_, h_q_.data(), n_b, n_l,
                            static_cast<uint32_t>(lo),
                            static_cast<uint32_t>(hi), simd);
-    bar.arrive_and_wait();
-    const auto [e0, e1] = Thread_pool::slice(h_elems, w, workers);
-    for (size_t i = e0; i < e1; ++i) {
-      h_hat_[i] = common::to_cd(h_q_[i]) / s_che;
+    for (size_t i = r0 * n_l; i < r1 * n_l; ++i) {
+      const cd h_hat = common::to_cd(h_q_[i]) / s_che;
+      h_est_[i] = common::to_cq15(h_hat * s_est);
+      gh_q_[i] = common::to_cq15(h_hat * 1.0);
     }
   });
 
@@ -167,8 +193,6 @@ void Fixed_backend::run_back_into(const Pipeline& p,
   // The sim NE folds one uint32 contribution per core block, so the
   // estimate depends on the *simulated* partition: replay exactly that
   // many blocks regardless of the host worker count.
-  quantize_into(beams.row(0), s_est, y_est_);
-  quantize_into(h_hat_, s_est, h_est_);
   uint32_t ne_cores = ne_spec.run.params.getu("cores", 0);
   if (ne_cores == 0) ne_cores = p.cluster().n_cores();
   common::ws_grow(contribs_, ne_cores);
@@ -183,40 +207,55 @@ void Fixed_backend::run_back_into(const Pipeline& p,
   const double sigma2_hat = common::ne_sigma2(raw, n, n_b) / (s_est * s_est);
   out.sigma2_hat = sigma2_hat;
 
-  // ---- MIMO per (data symbol, sub-carrier): G = H^H H + sigma2 I,
-  // Cholesky, solves ------------------------------------------------------
-  // Each item is one independent problem: quantize its beam row, Gramian +
-  // matched filter, Cholesky + both substitutions, dequantize.  The sim
-  // backend quantizes whole symbols per launch batch; the values are the
-  // same element for element, so the launch grouping (symb_batch) only
-  // shows in stages[].runs (mirror_sim_stage_runs above).
-  quantize_into(h_hat_, 1.0, gh_q_);
+  // ---- MIMO: G = H^H H + sigma2 I, Cholesky, solves --------------------
+  // The channel estimate and sigma2 are per slot, so G and its Cholesky
+  // factor depend only on the sub-carrier.  Phase 1 factors each
+  // sub-carrier once into l_q_; after the barrier, phase 2 solves every
+  // (data symbol, sub-carrier) item against its sub-carrier's factor:
+  // quantize the beam row, matched filter, both substitutions, dequantize,
+  // then demodulate the worker's item range.  The sim backend re-factors
+  // per launch batch (chol_symb_batch symbols); it computes the same
+  // values from the same inputs, so the grouping shows only in
+  // stages[].runs (mirror_sim_stage_runs above).
   const cq15 sigma{common::to_q15(sigma2_hat), 0};
   const uint32_t n_data = cfg.n_symb - cfg.n_pilot_symb;
   const uint64_t n_items = static_cast<uint64_t>(n_data) * n;
+  const size_t ll = static_cast<size_t>(n_l) * n_l;
+  common::ws_grow(l_q_, static_cast<size_t>(n) * ll);
   out.bits.resize(n_l);
   out.symbols.resize(n_l);  // equalized symbols, indexed (data symbol, sc)
-  for (auto& eq : out.symbols) common::ws_grow(eq, n_items);
+  const uint32_t bps = phy::qam_bits(cfg.qam);
+  for (uint32_t l = 0; l < n_l; ++l) {
+    common::ws_grow(out.symbols[l], n_items);
+    common::ws_grow(out.bits[l], n_items * bps);
+  }
   pool_.run([&](uint32_t w) {
+    const auto [lo, hi] = Thread_pool::slice(n, w, workers);
+    for (uint64_t scx = lo; scx < hi; ++scx) {
+      cq15 g[common::max_layers * common::max_layers];
+      fixed::gram_matrix(gh_q_.data() + scx * n_b * n_l, sigma, g, n_b, n_l,
+                         0, 1);
+      fixed::cholesky(g, l_q_.data() + scx * ll, n_l);
+    }
+    bar.arrive_and_wait();
+
     std::vector<cq15>& yq = fft_ws_[w].aq;
     const auto [i0, i1] = Thread_pool::slice(n_items, w, workers);
     for (uint64_t item = i0; item < i1; ++item) {
       const uint32_t s = cfg.n_pilot_symb + static_cast<uint32_t>(item / n);
-      const uint32_t scx = static_cast<uint32_t>(item % n);
-      quantize_into(beams.row(s).subspan(static_cast<size_t>(scx) * n_b, n_b),
-                    s_rhs, yq);
-      cq15 g[common::max_layers * common::max_layers];
-      cq15 lmat[common::max_layers * common::max_layers];
+      const size_t scx = item % n;
+      quantize_into(beams.row(s).subspan(scx * n_b, n_b), s_rhs, yq);
       cq15 rhs[common::max_layers];
       cq15 x[common::max_layers];
-      fixed::gram_subcarriers(
-          gh_q_.data() + static_cast<size_t>(scx) * n_b * n_l, yq.data(),
-          sigma, g, rhs, n_b, n_l, 0, 1);
-      fixed::cholesky(g, lmat, n_l);
-      fixed::trisolve(lmat, rhs, x, n_l);
+      fixed::matched_filter(gh_q_.data() + scx * n_b * n_l, yq.data(), rhs,
+                            n_b, n_l, 0, 1);
+      fixed::trisolve(l_q_.data() + scx * ll, rhs, x, n_l);
       for (uint32_t l = 0; l < n_l; ++l) {
         out.symbols[l][item] = common::to_cd(x[l]) / s_rhs / cfg.ue_power;
       }
+    }
+    for (uint32_t l = 0; l < n_l; ++l) {
+      phy::qam_demodulate_range(cfg.qam, out.symbols[l], i0, i1, out.bits[l]);
     }
   });
 
@@ -232,20 +271,15 @@ void Fixed_backend::run_back_into(const Pipeline& p,
     }
   }
   out.evm = std::sqrt(evm_acc / static_cast<double>(n_items * n_l));
-
-  for (uint32_t l = 0; l < n_l; ++l) {
-    phy::qam_demodulate_into(cfg.qam, out.symbols[l], out.bits[l]);
-  }
   out.ber = phy::payload_ber(sc, out.bits);
 }
 
 size_t Fixed_backend::workspace_bytes() const {
   size_t b = Backend::workspace_bytes() +
              (bq_.capacity() + h_q_.capacity() + y_est_.capacity() +
-              h_est_.capacity() + gh_q_.capacity()) *
+              h_est_.capacity() + gh_q_.capacity() + l_q_.capacity()) *
                  sizeof(cq15) +
-             freq_.footprint_bytes() + h_hat_.capacity() * sizeof(cd) +
-             contribs_.capacity() * sizeof(uint32_t);
+             freq_.footprint_bytes() + contribs_.capacity() * sizeof(uint32_t);
   for (const auto& ws : fft_ws_) b += ws.footprint_bytes();
   b += common::ws_rows_footprint(pilots_q_) +
        common::ws_rows_footprint(y_sep_q_);

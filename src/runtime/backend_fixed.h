@@ -19,14 +19,17 @@
 //   OFDM FFT     per-(symbol, antenna) transforms
 //   beamforming  per-(symbol, sub-carrier) output rows of the MMM, in the
 //                FFT's pool dispatch after a Counting_barrier
-//   CHE          per-sub-carrier estimate rows
+//   CHE          per-sub-carrier slices: quantize the pilot inputs,
+//                estimate, requantize the estimate for NE and MIMO
 //   NE           one Q2.30 partial per *simulated core block* (the sim's
 //                uint32 fold is partition-dependent, so the simulated
 //                partition is replayed no matter the worker count), folded
 //                serially in block order
-//   LMMSE MIMO   per-(data symbol, sub-carrier) problems: quantized beam
-//                row, Gramian, Cholesky + substitutions; EVM/BER epilogue
-//                serial in slot order
+//   LMMSE MIMO   per-sub-carrier Gramian + Cholesky factor (once per slot,
+//                not per symbol), then after a Counting_barrier the
+//                per-(data symbol, sub-carrier) problems: quantized beam
+//                row, matched filter, substitutions, demodulation; the EVM
+//                sum stays serial in slot order
 //
 // Every parallel tile performs exact integer arithmetic on disjoint
 // outputs, so the result is independent of the worker count - pinned at
@@ -87,13 +90,13 @@ class Fixed_backend final : public Backend {
   std::vector<common::cq15> bq_;             // quantized codebook
   common::Ws_grid<phy::cd> freq_;            // [symb * rx][sc] spectra
   // Back half: CHE inputs/outputs, NE operands, quantized channel for the
-  // MIMO items.
+  // MIMO items and one Cholesky factor per sub-carrier ([sc][n_l][n_l]).
   std::vector<std::vector<common::cq15>> pilots_q_, y_sep_q_;  // grow-only
   std::vector<common::cq15> h_q_;
-  std::vector<phy::cd> h_hat_;
   std::vector<common::cq15> y_est_, h_est_;
   std::vector<uint32_t> contribs_;
   std::vector<common::cq15> gh_q_;
+  std::vector<common::cq15> l_q_;
 };
 
 }  // namespace pp::runtime

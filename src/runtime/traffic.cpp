@@ -120,7 +120,8 @@ std::string Traffic_source::group_label(uint32_t group) const {
   // Only non-flat profiles suffix the label, so pre-fading baselines and
   // report keys are unchanged for the default channel.
   if (cell.profile != phy::Channel_profile::flat) {
-    label += " " + std::string(phy::channel_profile_name(cell.profile));
+    label += ' ';
+    label += phy::channel_profile_name(cell.profile);
   }
   return label;
 }

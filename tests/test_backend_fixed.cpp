@@ -171,6 +171,54 @@ TEST(FixedBackend, SymbolBatchedMimoBitIdenticalToSim) {
   }
 }
 
+TEST(FixedBackend, MixedShapeSequenceOnOneBackendBitIdentical) {
+  // One backend instance serves a shrinking then growing shape sequence:
+  // its workspaces (the per-sub-carrier Cholesky factors among them) keep
+  // the previous slot's contents, so a factor left over from the wider slot
+  // would show as a mismatch against a fresh backend.  1, 3 and 5 workers
+  // leave both the sub-carrier slices and the (data symbol, sub-carrier)
+  // item slices uneven.
+  struct Shape {
+    uint32_t fft, n_ue;
+    bool with_sim;  // sim solves at most Trisolve_batch::max_n = 4 layers
+  };
+  const Shape shapes[] = {{1024, 8, false}, {64, 2, true}, {256, 8, false}};
+  const auto pipeline =
+      runtime::uplink_pipeline(arch::Cluster_config::mempool());
+  std::vector<phy::Uplink_scenario> scenarios;
+  std::vector<runtime::Slot_result> sims;
+  for (const Shape& sh : shapes) {
+    phy::Uplink_config cfg;
+    cfg.n_sc = sh.fft;
+    cfg.fft_size = sh.fft;
+    cfg.n_rx = 8;
+    cfg.n_beams = 8;
+    cfg.n_ue = sh.n_ue;
+    cfg.n_symb = 5;
+    cfg.n_pilot_symb = 2;
+    cfg.qam = phy::Qam::qam16;
+    cfg.seed = 500 + sh.fft;
+    scenarios.emplace_back(cfg);
+    sims.push_back(sh.with_sim ? pipeline.execute(scenarios.back(),
+                                                  *runtime::make_backend("sim"))
+                               : runtime::Slot_result{});
+  }
+
+  for (const uint32_t intra : {1u, 3u, 5u}) {
+    runtime::Fixed_backend reused(intra);
+    for (size_t i = 0; i < scenarios.size(); ++i) {
+      const std::string what = "fft " + std::to_string(shapes[i].fft) +
+                               " intra " + std::to_string(intra);
+      runtime::Fixed_backend fresh(intra);
+      const auto want = pipeline.execute(scenarios[i], fresh);
+      const auto got = pipeline.execute(scenarios[i], reused);
+      expect_slot_bits_equal(want, got, what);
+      EXPECT_EQ(want.symbols, got.symbols) << what;
+      if (shapes[i].with_sim) expect_slot_bits_equal(sims[i], got, what);
+    }
+  }
+}
+
 TEST(FixedBackend, SplitContractMatchesWholeSlot) {
   // run_back_into(run_front_into()) == run_slot_into - the contract
   // run_slot_into and perfbench's per-half timing rest on (backend.h).

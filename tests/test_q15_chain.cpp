@@ -138,6 +138,32 @@ TEST(Q15Chain, GramEightLayersFullScaleMatchesSimBitExactly) {
   }
 }
 
+TEST(Q15Chain, GramMatrixPlusMatchedFilterEqualsGramSubcarriers) {
+  // The fixed backend factors G once per sub-carrier and runs only the
+  // matched filter per data symbol: the two halves, called separately and
+  // over split ranges, must reproduce gram_subcarriers bit for bit.
+  const uint32_t n_sc = 8, n_b = 16, n_l = 8;
+  for (const int16_t sigma : {int16_t{0}, int16_t{0x7fff}}) {
+    const auto h = corner_signal(size_t{n_sc} * n_b * n_l, 31);
+    const auto y = corner_signal(size_t{n_sc} * n_b, 37);
+    std::vector<cq15> g(size_t{n_sc} * n_l * n_l), rhs(size_t{n_sc} * n_l);
+    fixed::gram_subcarriers(h.data(), y.data(), cq15{sigma, 0}, g.data(),
+                            rhs.data(), n_b, n_l, 0, n_sc);
+
+    std::vector<cq15> g2(g.size()), rhs2(rhs.size());
+    fixed::gram_matrix(h.data(), cq15{sigma, 0}, g2.data(), n_b, n_l, 0, 3);
+    fixed::gram_matrix(h.data(), cq15{sigma, 0}, g2.data(), n_b, n_l, 3,
+                       n_sc);
+    for (uint32_t sc = 0; sc < n_sc; ++sc) {
+      fixed::matched_filter(h.data() + size_t{sc} * n_b * n_l,
+                            y.data() + size_t{sc} * n_b,
+                            rhs2.data() + size_t{sc} * n_l, n_b, n_l, 0, 1);
+    }
+    EXPECT_EQ(g, g2) << "sigma " << sigma;
+    EXPECT_EQ(rhs, rhs2) << "sigma " << sigma;
+  }
+}
+
 // ---- Cholesky ---------------------------------------------------------------
 
 // Hermitian matrices that are not positive definite: the diagonal runs
